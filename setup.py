@@ -1,50 +1,50 @@
-"""Build the optional compiled kernels.
+"""Build the native kernels into the package.
 
-The package is fully functional without them (a pure-Python fallback is
-selected at import); any failure to cythonize or compile just skips the
-extension.
+`src/minclue/_ckernels.c` is compiled by the function that also builds it
+on first import (`minclue._cbuild.build`), into the cache the loader
+reads, so an installed package needs no compiler at run time.  A failed
+build is not fatal: the package then compiles the kernels on first import
+when a compiler is present, and falls back to pure Python otherwise.
 """
 
+import importlib.util
+import subprocess
 import sys
+from pathlib import Path
 
-from setuptools import setup
-from setuptools.command.build_ext import build_ext
+from setuptools import Distribution, setup
+from setuptools.command.build_py import build_py
+
+CBUILD = Path(__file__).resolve().parent / "src" / "minclue" / "_cbuild.py"
 
 
-class OptionalBuildExt(build_ext):
-    """Never make the install fail because the extension would not build."""
+def load_cbuild():
+    spec = importlib.util.spec_from_file_location("minclue_cbuild", CBUILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+class BuildPyWithKernels(build_py):
     def run(self):
+        super().run()
+        cbuild = load_cbuild()
+        target = Path(self.build_lib, "minclue", "__pycache__", cbuild.library_name())
         try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            print(f"warning: skipping compiled kernels: {exc}", file=sys.stderr)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(
-                f"warning: compiled kernels unavailable ({exc}); "
-                "the pure-Python backend will be used",
-                file=sys.stderr,
-            )
+            cbuild.build(target)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or exc
+            print(f"warning: native kernels not built: {detail}", file=sys.stderr)
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython not found; building without compiled kernels",
-              file=sys.stderr)
-        return []
-    return cythonize(
-        ["src/minclue/_kernels.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
+class PlatformDistribution(Distribution):
+    """The wheel carries a compiled library, so tag it for this platform."""
+
+    def has_ext_modules(self):
+        return True
 
 
 setup(
-    ext_modules=extensions(),
-    cmdclass={"build_ext": OptionalBuildExt},
+    cmdclass={"build_py": BuildPyWithKernels},
+    distclass=PlatformDistribution,
 )

@@ -1,0 +1,869 @@
+/* Native kernels: solver core, alternate-completion enumerator and the
+ * hitting-set engine, in plain C99 with no Python API.
+ *
+ * minclue._native loads this file through ctypes.  Semantics, emission
+ * order and counters match minclue._pykernels exactly; that module is the
+ * reference.  The solver supports boards up to 16x16 (256 cells); the diff
+ * enumerator and the hitting engine work on universes of up to 128 cells,
+ * which covers every shape with a text format.
+ *
+ * Results stream out through one callback type, mc_emit_fn, which receives
+ * a byte buffer and returns nonzero to abort: the recursion then unwinds,
+ * frees what it allocated and the entry point returns MC_ABORTED.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+typedef uint64_t u64;
+typedef uint16_t u16;
+typedef uint8_t u8;
+
+typedef int (*mc_emit_fn)(const u8 *data, int len);
+
+enum {
+    MAX_N = 16,
+    MAX_CELLS = 256,
+    MAX_UNITS = 48,
+    MAX_K = 128,
+    MAX_UNIVERSE = 128
+};
+
+enum { MC_OK = 0, MC_ABORTED = 1, MC_NO_MEMORY = -1, MC_BAD_ARGUMENT = -2 };
+
+#if defined(__GNUC__) || defined(__clang__)
+static inline int popcount64(u64 x) { return __builtin_popcountll(x); }
+static inline int low_index64(u64 x) { return __builtin_ctzll(x); }
+#else
+static inline int popcount64(u64 x)
+{
+    int c = 0;
+    while (x) {
+        x &= x - 1;
+        ++c;
+    }
+    return c;
+}
+static inline int low_index64(u64 x)
+{
+    int idx = 0;
+    while (!(x & 1)) {
+        x >>= 1;
+        ++idx;
+    }
+    return idx;
+}
+#endif
+
+/* digit of a single-bit candidate mask: bit d-1 set -> d */
+static inline int bit_digit(unsigned int bit)
+{
+    return low_index64(bit) + 1;
+}
+
+static inline int mask_bit(u64 lo, u64 hi, int c)
+{
+    return c < 64 ? (int)((lo >> c) & 1) : (int)((hi >> (c - 64)) & 1);
+}
+
+static void store_le64(u8 *p, u64 v)
+{
+    for (int i = 0; i < 8; ++i, v >>= 8)
+        p[i] = (u8)v;
+}
+
+/* ------------------------------------------------------------------------
+ * geometry */
+
+typedef struct {
+    int n, ncells;
+    int row_of[MAX_CELLS];
+    int col_of[MAX_CELLS];
+    int box_of[MAX_CELLS];
+    int unit_cells[MAX_UNITS][MAX_N];
+} Geo;
+
+static int build_geo(Geo *g, int box_rows, int box_cols)
+{
+    int n = box_rows * box_cols;
+    int counts[MAX_UNITS] = {0};
+    if (box_rows < 1 || box_cols < 1 || n > MAX_N)
+        return 0;
+    g->n = n;
+    g->ncells = n * n;
+    for (int c = 0; c < g->ncells; ++c) {
+        int r = c / n, col = c % n;
+        int b = (r / box_rows) * box_rows + col / box_cols;
+        g->row_of[c] = r;
+        g->col_of[c] = col;
+        g->box_of[c] = b;
+        g->unit_cells[r][counts[r]++] = c;
+        g->unit_cells[n + col][counts[n + col]++] = c;
+        g->unit_cells[2 * n + b][counts[2 * n + b]++] = c;
+    }
+    return 1;
+}
+
+/* ------------------------------------------------------------------------
+ * solver core */
+
+typedef struct {
+    u16 row_used[MAX_N];
+    u16 col_used[MAX_N];
+    u16 box_used[MAX_N];
+    u8 grid[MAX_CELLS];
+} Board;
+
+static inline void assign(const Geo *geo, Board *b, int c, int d)
+{
+    u16 bit = (u16)(1u << (d - 1));
+    b->grid[c] = (u8)d;
+    b->row_used[geo->row_of[c]] |= bit;
+    b->col_used[geo->col_of[c]] |= bit;
+    b->box_used[geo->box_of[c]] |= bit;
+}
+
+static void board_init(const Geo *geo, Board *b, const u8 *cells)
+{
+    memset(b, 0, sizeof(Board));
+    for (int c = 0; c < geo->ncells; ++c)
+        if (cells[c])
+            assign(geo, b, c, cells[c]);
+}
+
+static inline unsigned int candidates(const Geo *geo, const Board *b, int c)
+{
+    unsigned int full = (1u << geo->n) - 1;
+    return full & ~(unsigned int)(b->row_used[geo->row_of[c]]
+                                  | b->col_used[geo->col_of[c]]
+                                  | b->box_used[geo->box_of[c]]);
+}
+
+/* Diff budget of the alternate-completion enumerator; mirrors
+ * _pykernels._DiffBudget including every structural cut. */
+typedef struct {
+    u8 ref[MAX_CELLS];
+    int max_diff;
+    int max_per_digit;
+    int total;
+    int deficit;
+    int per_digit[MAX_N + 1];
+    int digit_open[MAX_N + 1];
+    int unit_blanks[MAX_UNITS];
+    int unit_diffs[MAX_UNITS];
+    int open_singles[3];
+    u64 mask_lo;
+    u64 mask_hi;
+} DiffCtx;
+
+/* Record digit d placed at cell c; 0 when any budget is exceeded. */
+static int diff_note(const Geo *geo, DiffCtx *ctx, int c, int d)
+{
+    int n = geo->n;
+    int r = ctx->ref[c];
+    int differs = d != r;
+    int count_before = ctx->per_digit[r];
+    int open_before = ctx->digit_open[r];
+    int units[3];
+    int bound;
+    ctx->digit_open[r] = open_before - 1;
+    if (differs) {
+        if (++ctx->total > ctx->max_diff)
+            return 0;
+        ctx->per_digit[r] = count_before + 1;
+        if (ctx->per_digit[r] > ctx->max_per_digit)
+            return 0;
+        if (count_before < 2)
+            ctx->deficit -= 1;
+        if (c < 64)
+            ctx->mask_lo |= (u64)1 << c;
+        else
+            ctx->mask_hi |= (u64)1 << (c - 64);
+    }
+    if (open_before == 1 && ctx->per_digit[r] < 2)
+        return 0; /* digit closed while still needing changes */
+    units[0] = geo->row_of[c];
+    units[1] = n + geo->col_of[c];
+    units[2] = 2 * n + geo->box_of[c];
+    for (int kind = 0; kind < 3; ++kind) {
+        int u = units[kind];
+        int blanks_before = ctx->unit_blanks[u];
+        int diffs_before = ctx->unit_diffs[u];
+        int blanks = blanks_before - 1;
+        int diffs = differs ? diffs_before + 1 : diffs_before;
+        int was_open, now_open;
+        ctx->unit_blanks[u] = blanks;
+        ctx->unit_diffs[u] = diffs;
+        if (blanks == 0 && diffs == 1)
+            return 0;
+        was_open = diffs_before == 1 && blanks_before > 0;
+        now_open = diffs == 1 && blanks > 0;
+        if (was_open != now_open)
+            ctx->open_singles[kind] += now_open ? 1 : -1;
+    }
+    bound = ctx->open_singles[0];
+    if (ctx->open_singles[1] > bound)
+        bound = ctx->open_singles[1];
+    if (ctx->open_singles[2] > bound)
+        bound = ctx->open_singles[2];
+    if (ctx->deficit > bound)
+        bound = ctx->deficit;
+    return ctx->total + bound <= ctx->max_diff;
+}
+
+/* Naked + hidden singles to fixpoint; -1 on contradiction or budget cut,
+ * else the number of remaining blanks.  ctx may be NULL. */
+static int propagate(const Geo *geo, Board *b, DiffCtx *ctx)
+{
+    int n = geo->n;
+    unsigned int full = (1u << n) - 1;
+    for (;;) {
+        int changed = 0, blanks = 0;
+        for (int c = 0; c < geo->ncells; ++c) {
+            unsigned int cand;
+            if (b->grid[c])
+                continue;
+            cand = candidates(geo, b, c);
+            if (cand == 0)
+                return -1;
+            if (cand & (cand - 1)) {
+                blanks += 1;
+            } else {
+                int d = bit_digit(cand);
+                assign(geo, b, c, d);
+                if (ctx != NULL && !diff_note(geo, ctx, c, d))
+                    return -1;
+                changed = 1;
+            }
+        }
+        if (changed)
+            continue;
+        if (blanks == 0)
+            return 0;
+        /* hidden singles per unit */
+        for (int u = 0; u < 3 * n; ++u) {
+            unsigned int placed = 0, once = 0, multi = 0, need, singles;
+            for (int i = 0; i < n; ++i) {
+                int c = geo->unit_cells[u][i];
+                int d = b->grid[c];
+                if (d) {
+                    placed |= 1u << (d - 1);
+                } else {
+                    unsigned int cand = candidates(geo, b, c);
+                    multi |= once & cand;
+                    once |= cand;
+                }
+            }
+            need = full & ~placed;
+            if (need & ~once)
+                return -1;
+            singles = need & once & ~multi;
+            while (singles) {
+                unsigned int low = singles & (0u - singles);
+                singles ^= low;
+                for (int i = 0; i < n; ++i) {
+                    int c = geo->unit_cells[u][i];
+                    if (b->grid[c] == 0 && (candidates(geo, b, c) & low)) {
+                        int d = bit_digit(low);
+                        assign(geo, b, c, d);
+                        if (ctx != NULL && !diff_note(geo, ctx, c, d))
+                            return -1;
+                        changed = 1;
+                        break;
+                    }
+                }
+            }
+        }
+        if (!changed)
+            return blanks;
+    }
+}
+
+/* Blank cell with the fewest candidates, lowest index on ties. */
+static int pick_branch_cell(const Geo *geo, const Board *b)
+{
+    int best_c = -1, best_count = 1 << 30;
+    for (int c = 0; c < geo->ncells; ++c) {
+        int count;
+        if (b->grid[c])
+            continue;
+        count = popcount64(candidates(geo, b, c));
+        if (count < best_count) {
+            best_count = count;
+            best_c = c;
+            if (count <= 2)
+                break;
+        }
+    }
+    return best_c;
+}
+
+/* Count completions up to `limit`, copying the first two found to
+ * out[0..ncells) and out[ncells..2*ncells). */
+static int solve_rec(const Geo *geo, Board *b, int limit, int *saved, u8 *out)
+{
+    int blanks = propagate(geo, b, NULL);
+    int c, total = 0;
+    unsigned int cand;
+    if (blanks < 0)
+        return 0;
+    if (blanks == 0) {
+        if (*saved < 2)
+            memcpy(out + (*saved)++ * geo->ncells, b->grid, geo->ncells);
+        return 1;
+    }
+    c = pick_branch_cell(geo, b);
+    cand = candidates(geo, b, c);
+    while (cand) {
+        unsigned int low = cand & (0u - cand);
+        Board nb = *b;
+        cand ^= low;
+        assign(geo, &nb, c, bit_digit(low));
+        total += solve_rec(geo, &nb, limit - total, saved, out);
+        if (total >= limit)
+            break;
+    }
+    return total;
+}
+
+/* Returns the completion count (saturated at `limit`) or MC_BAD_ARGUMENT
+ * for an unsupported shape.  `out` holds 2 * (box_rows*box_cols)^2 bytes. */
+int mc_solve_limit(int box_rows, int box_cols, const u8 *cells, int limit,
+                   u8 *out)
+{
+    Geo geo;
+    Board board;
+    int saved = 0;
+    if (!build_geo(&geo, box_rows, box_cols))
+        return MC_BAD_ARGUMENT;
+    board_init(&geo, &board, cells);
+    return solve_rec(&geo, &board, limit, &saved, out);
+}
+
+/* ------------------------------------------------------------------------
+ * alternate-completion enumeration */
+
+static int emit_diff(const DiffCtx *ctx, mc_emit_fn emit)
+{
+    u8 buf[16];
+    store_le64(buf, ctx->mask_lo);
+    store_le64(buf + 8, ctx->mask_hi);
+    return emit(buf, 16) ? MC_ABORTED : MC_OK;
+}
+
+static int diff_rec(const Geo *geo, Board *b, DiffCtx *ctx, mc_emit_fn emit)
+{
+    int blanks = propagate(geo, b, ctx);
+    int c;
+    unsigned int cand;
+    if (blanks < 0)
+        return MC_OK;
+    if (blanks == 0)
+        return (ctx->mask_lo || ctx->mask_hi) ? emit_diff(ctx, emit) : MC_OK;
+    c = pick_branch_cell(geo, b);
+    cand = candidates(geo, b, c);
+    while (cand) {
+        unsigned int low = cand & (0u - cand);
+        int d = bit_digit(low);
+        Board nb = *b;
+        DiffCtx nctx = *ctx;
+        cand ^= low;
+        assign(geo, &nb, c, d);
+        if (diff_note(geo, &nctx, c, d) && diff_rec(geo, &nb, &nctx, emit))
+            return MC_ABORTED;
+    }
+    return MC_OK;
+}
+
+/* Emit, as 16-byte little-endian cell masks, the cells where bounded
+ * alternate completions of `solution` (blank cells given by the mask
+ * blank_lo | blank_hi << 64) differ from it; see
+ * _pykernels.enumerate_diffs for the contract. */
+int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
+                       u64 blank_lo, u64 blank_hi, int max_diff,
+                       int max_per_digit, mc_emit_fn emit)
+{
+    Geo geo;
+    u8 base_cells[MAX_CELLS];
+    int blank_cells[MAX_CELLS];
+    int n_blanks = 0, n;
+    DiffCtx proto;
+    if (!build_geo(&geo, box_rows, box_cols) || geo.ncells > MAX_UNIVERSE)
+        return MC_BAD_ARGUMENT;
+    n = geo.n;
+    memset(&proto, 0, sizeof(DiffCtx));
+    proto.max_diff = max_diff;
+    proto.max_per_digit = max_per_digit;
+    for (int c = 0; c < geo.ncells; ++c) {
+        proto.ref[c] = solution[c];
+        if (mask_bit(blank_lo, blank_hi, c)) {
+            base_cells[c] = 0;
+            blank_cells[n_blanks++] = c;
+            proto.unit_blanks[geo.row_of[c]] += 1;
+            proto.unit_blanks[n + geo.col_of[c]] += 1;
+            proto.unit_blanks[2 * n + geo.box_of[c]] += 1;
+            proto.digit_open[solution[c]] += 1;
+        } else {
+            base_cells[c] = solution[c];
+        }
+    }
+    for (int d = 1; d <= n; ++d)
+        if (proto.digit_open[d])
+            proto.deficit += 2;
+
+    /* split on the smallest changed cell: blanks below it are pinned to
+     * the reference digits, so each completion is reached exactly once */
+    for (int split = 0; split < n_blanks; ++split) {
+        int c0 = blank_cells[split];
+        Board board;
+        DiffCtx ctx = proto;
+        unsigned int cand;
+        board_init(&geo, &board, base_cells);
+        for (int i = 0; i < split; ++i) {
+            int c = blank_cells[i];
+            assign(&geo, &board, c, proto.ref[c]);
+            if (!diff_note(&geo, &ctx, c, proto.ref[c]))
+                return MC_OK; /* longer pinned prefixes fail at the same cell */
+        }
+        cand = candidates(&geo, &board, c0) & ~(1u << (proto.ref[c0] - 1));
+        while (cand) {
+            unsigned int low = cand & (0u - cand);
+            int d = bit_digit(low);
+            Board nb = board;
+            DiffCtx nctx = ctx;
+            cand ^= low;
+            assign(&geo, &nb, c0, d);
+            if (diff_note(&geo, &nctx, c0, d) && diff_rec(&geo, &nb, &nctx, emit))
+                return MC_ABORTED;
+        }
+    }
+    return MC_OK;
+}
+
+/* ------------------------------------------------------------------------
+ * hitting-set engine */
+
+enum { SEL_FULL = 0, SEL_FIRST_M = 1, SEL_FIRST_UNHIT_M = 2, SEL_FIRST_UNHIT = 3 };
+
+typedef struct {
+    int degree;
+    int m_orig;        /* family size before consolidation */
+    int words_orig;
+    u64 *table_orig;   /* hit rows: [universe][words_orig] */
+    u64 *masks_orig;   /* cell masks: [m_orig][2] */
+    int trigger;       /* consolidation level, -1 when none */
+    int cap;           /* retained cap, clamped to m_orig */
+    int words_cap;     /* layout stride of the consolidated table */
+    int m_cons;        /* family size after the current consolidation */
+    u64 *table_cons;   /* [universe][words_cap] */
+    u64 *masks_cons;   /* [cap][2] */
+    int check_level;   /* degree>=2 prune level, -1 when none */
+    u64 *statevec;     /* [k+1][words_orig] */
+    long long cuts;
+    u8 *cut_levels;    /* [k+1] flags: a cut happened at that level */
+} DegState;
+
+typedef struct {
+    int universe;
+    int k;
+    int ndeg;
+    DegState *deg;
+    DegState *deg1;    /* the degree-1 state, NULL if none */
+    int dedup;
+    u64 dead_lo[MAX_K + 1];
+    u64 dead_hi[MAX_K + 1];
+    u64 chosen_lo;     /* only used when dedup is off */
+    u64 chosen_hi;
+    int hitset[MAX_K];
+    const int *mode_code;
+    const int *mode_param;
+    mc_emit_fn emit;
+    long long nodes;
+    long long emitted;
+    long long selection_cuts;
+    long long consolidations;
+} Engine;
+
+/* epoch seen by the entry checks of a node at `level` */
+static inline int consolidated_pre(const DegState *st, int level)
+{
+    return st->trigger >= 0 && level > st->trigger;
+}
+
+/* epoch seen after this node ran its consolidations */
+static inline int consolidated_post(const DegState *st, int level)
+{
+    return st->trigger >= 0 && level >= st->trigger;
+}
+
+static inline int row_all_ones(const u64 *row, int m)
+{
+    int words = m >> 6, rem = m & 63;
+    for (int w = 0; w < words; ++w)
+        if (row[w] != ~(u64)0)
+            return 0;
+    return !rem || row[words] == (((u64)1 << rem) - 1);
+}
+
+static inline int row_bit(const u64 *row, int i)
+{
+    return (int)((row[i >> 6] >> (i & 63)) & 1);
+}
+
+/* Rebuild the degree's table over the first `cap` unhit slots of its state
+ * row at `level`; the state row becomes all-zero in the new width.  Rows
+ * are only rebuilt for cells still alive: dead cells cannot be chosen
+ * below this node, so their rows are never read. */
+static void consolidate_degree(Engine *eng, DegState *st, int level)
+{
+    u64 *sv = st->statevec + (size_t)level * st->words_orig;
+    u64 dead_lo = eng->dead_lo[level], dead_hi = eng->dead_hi[level];
+    int m_new = 0;
+    memset(st->table_cons, 0, (size_t)eng->universe * st->words_cap * sizeof(u64));
+    for (int i = 0; i < st->m_orig && m_new < st->cap; ++i) {
+        if (row_bit(sv, i))
+            continue;
+        for (int c = 0; c < eng->universe; ++c) {
+            if (eng->dedup && mask_bit(dead_lo, dead_hi, c))
+                continue;
+            if (row_bit(st->table_orig + (size_t)c * st->words_orig, i))
+                st->table_cons[(size_t)c * st->words_cap + (m_new >> 6)] |=
+                    (u64)1 << (m_new & 63);
+        }
+        st->masks_cons[m_new * 2] = st->masks_orig[i * 2];
+        st->masks_cons[m_new * 2 + 1] = st->masks_orig[i * 2 + 1];
+        m_new += 1;
+    }
+    st->m_cons = m_new;
+    memset(sv, 0, st->words_orig * sizeof(u64));
+}
+
+/* Index of the degree-1 set to draw from, or -1 to cut the branch. */
+static int select_slot(Engine *eng, int level)
+{
+    DegState *st = eng->deg1;
+    const u64 *sv = st->statevec + (size_t)level * st->words_orig;
+    int cons = consolidated_post(st, level);
+    int m = cons ? st->m_cons : st->m_orig;
+    const u64 *masks = cons ? st->masks_cons : st->masks_orig;
+    int mode = eng->mode_code[level], param = eng->mode_param[level];
+    u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
+    int best = -1, best_eff = 1 << 30;
+    if (mode == SEL_FIRST_UNHIT) {
+        for (int i = 0; i < m; ++i)
+            if (!row_bit(sv, i))
+                return i;
+        return -1;
+    }
+    if (mode == SEL_FIRST_M) {
+        /* min effective size among the first `param` slots; the first
+         * unhit slot beyond them when none of them is unhit */
+        int window = param < m ? param : m, fallback = -1;
+        for (int i = 0; i < m; ++i) {
+            int eff;
+            if (row_bit(sv, i))
+                continue;
+            if (fallback < 0)
+                fallback = i;
+            if (i >= window) {
+                if (best >= 0)
+                    break;
+                continue;
+            }
+            eff = popcount64(masks[i * 2] & alive_lo)
+                  + popcount64(masks[i * 2 + 1] & alive_hi);
+            if (eff < best_eff) {
+                best_eff = eff;
+                best = i;
+                if (eff == 0)
+                    break;
+            }
+        }
+        if (best < 0)
+            return fallback;
+    } else {
+        /* SEL_FULL: over all unhit slots; SEL_FIRST_UNHIT_M: over the
+         * first `param` unhit slots */
+        int seen = 0;
+        for (int i = 0; i < m; ++i) {
+            int eff;
+            if (row_bit(sv, i))
+                continue;
+            eff = popcount64(masks[i * 2] & alive_lo)
+                  + popcount64(masks[i * 2 + 1] & alive_hi);
+            if (eff < best_eff) {
+                best_eff = eff;
+                best = i;
+                if (eff == 0)
+                    break;
+            }
+            if (mode == SEL_FIRST_UNHIT_M && ++seen == param)
+                break;
+        }
+    }
+    if (best_eff == 0) {
+        eng->selection_cuts += 1;
+        return -1;
+    }
+    return best;
+}
+
+/* Emit the cells drawn so far plus `extra`, ascending. */
+static int emit_cells(Engine *eng, const int *extra, int n_extra, int level)
+{
+    int total = level + n_extra;
+    u8 buf[MAX_K];
+    for (int i = 0; i < total; ++i) {
+        int v = i < level ? eng->hitset[i] : extra[i - level];
+        int j = i - 1;
+        while (j >= 0 && buf[j] > v) {
+            buf[j + 1] = buf[j];
+            j -= 1;
+        }
+        buf[j + 1] = (u8)v;
+    }
+    eng->emitted += 1;
+    return eng->emit(buf, total) ? MC_ABORTED : MC_OK;
+}
+
+/* Emit every completion of the drawn cells by k - level further cells. */
+static int free_fill(Engine *eng, int level)
+{
+    int need = eng->k - level;
+    int avail[MAX_UNIVERSE], idx[MAX_K], extra[MAX_K];
+    int n_avail = 0;
+    u64 excl_lo, excl_hi;
+    if (need == 0)
+        return emit_cells(eng, NULL, 0, level);
+    if (eng->dedup) {
+        excl_lo = eng->dead_lo[level];
+        excl_hi = eng->dead_hi[level];
+    } else {
+        excl_lo = eng->chosen_lo;
+        excl_hi = eng->chosen_hi;
+    }
+    for (int c = 0; c < eng->universe; ++c)
+        if (!mask_bit(excl_lo, excl_hi, c))
+            avail[n_avail++] = c;
+    if (need > n_avail)
+        return MC_OK;
+    for (int i = 0; i < need; ++i)
+        idx[i] = i;
+    for (;;) {
+        int i;
+        for (i = 0; i < need; ++i)
+            extra[i] = avail[idx[i]];
+        if (emit_cells(eng, extra, need, level))
+            return MC_ABORTED;
+        i = need - 1;
+        while (i >= 0 && idx[i] == n_avail - need + i)
+            i -= 1;
+        if (i < 0)
+            return MC_OK;
+        idx[i] += 1;
+        for (int j = i + 1; j < need; ++j)
+            idx[j] = idx[j - 1] + 1;
+    }
+}
+
+static int recurse(Engine *eng, int level)
+{
+    DegState *d1 = eng->deg1;
+    const u64 *masks;
+    u64 set_lo, set_hi, branch_lo, branch_hi;
+    int m, sel;
+    eng->nodes += 1;
+    if (d1 == NULL)
+        return free_fill(eng, level);
+    m = consolidated_pre(d1, level) ? d1->m_cons : d1->m_orig;
+    if (m == 0 || row_all_ones(d1->statevec + (size_t)level * d1->words_orig, m))
+        return free_fill(eng, level);
+    if (level == eng->k)
+        return MC_OK;
+    for (int di = 0; di < eng->ndeg; ++di) {
+        DegState *st = &eng->deg[di];
+        if (st->check_level != level)
+            continue;
+        m = consolidated_pre(st, level) ? st->m_cons : st->m_orig;
+        if (m && !row_all_ones(st->statevec + (size_t)level * st->words_orig, m)) {
+            st->cuts += 1;
+            st->cut_levels[level] = 1;
+            return MC_OK;
+        }
+    }
+    for (int di = 0; di < eng->ndeg; ++di) {
+        if (eng->deg[di].trigger == level) {
+            consolidate_degree(eng, &eng->deg[di], level);
+            eng->consolidations += 1;
+        }
+    }
+    sel = select_slot(eng, level);
+    if (sel < 0)
+        return MC_OK;
+    masks = consolidated_post(d1, level) ? d1->masks_cons : d1->masks_orig;
+    set_lo = masks[sel * 2];
+    set_hi = masks[sel * 2 + 1];
+    branch_lo = eng->dedup ? set_lo & ~eng->dead_lo[level] : set_lo;
+    branch_hi = eng->dedup ? set_hi & ~eng->dead_hi[level] : set_hi;
+    while (branch_lo || branch_hi) {
+        int c;
+        if (branch_lo) {
+            c = low_index64(branch_lo);
+            branch_lo &= branch_lo - 1;
+        } else {
+            c = 64 + low_index64(branch_hi);
+            branch_hi &= branch_hi - 1;
+        }
+        eng->hitset[level] = c;
+        for (int di = 0; di < eng->ndeg; ++di) {
+            DegState *st = &eng->deg[di];
+            int cons = consolidated_post(st, level);
+            int words = cons ? st->words_cap : st->words_orig;
+            const u64 *row = (cons ? st->table_cons : st->table_orig)
+                             + (size_t)c * words;
+            const u64 *src = st->statevec + (size_t)level * st->words_orig;
+            u64 *dst = st->statevec + (size_t)(level + 1) * st->words_orig;
+            for (int w = 0; w < words; ++w)
+                dst[w] = src[w] | row[w];
+        }
+        if (eng->dedup) {
+            /* cells of the drawn-from set up to c die in the subtree */
+            u64 below_lo, below_hi;
+            if (c < 64) {
+                below_lo = set_lo & (c == 63 ? ~(u64)0 : ((u64)1 << (c + 1)) - 1);
+                below_hi = 0;
+            } else {
+                below_lo = set_lo;
+                below_hi = set_hi & (c == 127 ? ~(u64)0 : ((u64)1 << (c - 63)) - 1);
+            }
+            eng->dead_lo[level + 1] = eng->dead_lo[level] | below_lo;
+            eng->dead_hi[level + 1] = eng->dead_hi[level] | below_hi;
+        } else {
+            eng->dead_lo[level + 1] = eng->dead_lo[level];
+            eng->dead_hi[level + 1] = eng->dead_hi[level];
+            if (c < 64)
+                eng->chosen_lo |= (u64)1 << c;
+            else
+                eng->chosen_hi |= (u64)1 << (c - 64);
+        }
+        if (recurse(eng, level + 1))
+            return MC_ABORTED;
+        if (!eng->dedup) {
+            if (c < 64)
+                eng->chosen_lo &= ~((u64)1 << c);
+            else
+                eng->chosen_hi &= ~((u64)1 << (c - 64));
+        }
+    }
+    return MC_OK;
+}
+
+static int init_degree(Engine *eng, DegState *st, int degree, int m,
+                       const u64 *masks, int check_level, int trigger, int cap)
+{
+    int universe = eng->universe;
+    int words = m > 0 ? (m + 63) >> 6 : 1;
+    st->degree = degree;
+    st->m_orig = m;
+    st->words_orig = words;
+    st->check_level = check_level;
+    st->trigger = trigger;
+    st->table_orig = calloc((size_t)universe * words, sizeof(u64));
+    st->masks_orig = calloc((size_t)(m > 0 ? m : 1) * 2, sizeof(u64));
+    st->statevec = calloc((size_t)(eng->k + 1) * words, sizeof(u64));
+    if (!st->table_orig || !st->masks_orig || !st->statevec)
+        return MC_NO_MEMORY;
+    for (int i = 0; i < m; ++i) {
+        u64 lo = masks[2 * i], hi = masks[2 * i + 1];
+        u64 outside_hi = universe >= 128 ? 0
+                         : universe > 64 ? hi >> (universe - 64)
+                                         : hi;
+        u64 outside_lo = universe >= 64 ? 0 : lo >> universe;
+        if (outside_lo || outside_hi)
+            return MC_BAD_ARGUMENT;
+        st->masks_orig[i * 2] = lo;
+        st->masks_orig[i * 2 + 1] = hi;
+        for (int c = 0; c < universe; ++c)
+            if (mask_bit(lo, hi, c))
+                st->table_orig[(size_t)c * words + (i >> 6)] |= (u64)1 << (i & 63);
+    }
+    if (trigger >= 0) {
+        st->cap = m == 0 ? 1 : (cap < m ? cap : m);
+        if (st->cap < 1)
+            st->cap = 1;
+        st->words_cap = (st->cap + 63) >> 6;
+        st->table_cons = calloc((size_t)universe * st->words_cap, sizeof(u64));
+        st->masks_cons = calloc((size_t)st->cap * 2, sizeof(u64));
+        if (!st->table_cons || !st->masks_cons)
+            return MC_NO_MEMORY;
+    }
+    return MC_OK;
+}
+
+/* Positional twin of _pykernels.run_hitting.  Per degree di (ascending,
+ * degree 1 first when present): counts[di] masks of two words each (cells
+ * 0..63, then 64..127), concatenated over all degrees in `masks`;
+ * check_levels[di] or -1;
+ * triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
+ * mode_params.  On return stats holds nodes, emitted, selection_cuts,
+ * consolidations and then the cut count per degree; cut_levels holds k+1
+ * flags per degree.  Returns MC_OK, MC_ABORTED when emit asked to stop,
+ * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range or a mask with
+ * cells outside the universe. */
+int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
+                   const int *counts, const u64 *masks, int dedup,
+                   const int *check_levels, const int *triggers,
+                   const int *caps, const int *mode_codes,
+                   const int *mode_params, mc_emit_fn emit,
+                   long long *stats, u8 *cut_levels)
+{
+    Engine *eng;
+    int status = MC_OK;
+    if (universe < 1 || universe > MAX_UNIVERSE || k < 1 || k > universe
+        || ndeg < 0)
+        return MC_BAD_ARGUMENT;
+    eng = calloc(1, sizeof(Engine));
+    if (eng == NULL)
+        return MC_NO_MEMORY;
+    eng->deg = calloc(ndeg > 0 ? ndeg : 1, sizeof(DegState));
+    if (eng->deg == NULL) {
+        free(eng);
+        return MC_NO_MEMORY;
+    }
+    eng->universe = universe;
+    eng->k = k;
+    eng->ndeg = ndeg;
+    eng->dedup = dedup;
+    eng->mode_code = mode_codes;
+    eng->mode_param = mode_params;
+    eng->emit = emit;
+    memset(cut_levels, 0, (size_t)ndeg * (k + 1));
+    for (int di = 0; di < ndeg && status == MC_OK; ++di) {
+        DegState *st = &eng->deg[di];
+        st->cut_levels = cut_levels + (size_t)di * (k + 1);
+        status = init_degree(eng, st, degrees[di], counts[di], masks,
+                             check_levels[di], triggers[di], caps[di]);
+        masks += (size_t)2 * counts[di];
+        if (degrees[di] == 1)
+            eng->deg1 = st;
+    }
+    if (status == MC_OK)
+        status = recurse(eng, 0);
+    stats[0] = eng->nodes;
+    stats[1] = eng->emitted;
+    stats[2] = eng->selection_cuts;
+    stats[3] = eng->consolidations;
+    for (int di = 0; di < ndeg; ++di) {
+        DegState *st = &eng->deg[di];
+        stats[4 + di] = st->cuts;
+        free(st->table_orig);
+        free(st->masks_orig);
+        free(st->statevec);
+        free(st->table_cons);
+        free(st->masks_cons);
+    }
+    free(eng->deg);
+    free(eng);
+    return status;
+}

@@ -1,0 +1,186 @@
+"""Native kernels: the C core in `_ckernels.c`, loaded through ctypes.
+
+The three entry points take the same arguments and return the same results
+as those of `_pykernels`, which is the reference.  Importing this module
+loads the shared library from `__pycache__/`, compiling it there with gcc
+first when no build of the current source exists (see `_cbuild`).  Import
+raises ImportError when the library is unavailable: silently when there is
+no compiler, after a RuntimeWarning naming the error when the build fails.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import subprocess
+import warnings
+from array import array
+from ctypes import CFUNCTYPE, POINTER, c_char_p, c_int, c_longlong, c_uint64, c_void_p
+
+from . import _cbuild
+
+BACKEND_NAME = "native"
+
+_MASK64 = (1 << 64) - 1
+
+# mc_* error codes
+_NO_MEMORY = -1
+_BAD_ARGUMENT = -2
+
+# int (*)(const unsigned char *data, int len); nonzero aborts the call
+_EMIT = CFUNCTYPE(c_int, c_void_p, c_int)
+
+
+def _open_library() -> ctypes.CDLL:
+    path = _cbuild.CACHE_DIR / _cbuild.library_name()
+    if not path.exists():
+        try:
+            _cbuild.build(path)
+        except FileNotFoundError as exc:
+            raise ImportError(f"no C compiler ({_cbuild.COMPILER}) on PATH") from exc
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = getattr(exc, "stderr", None) or str(exc)
+            warnings.warn(
+                f"the native kernels failed to build; using pure Python: {detail}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            raise ImportError(f"the native kernels failed to build: {detail}") from exc
+    lib = ctypes.CDLL(str(path))
+    lib.mc_solve_limit.argtypes = (c_int, c_int, c_char_p, c_int, c_char_p)
+    lib.mc_solve_limit.restype = c_int
+    lib.mc_enumerate_diffs.argtypes = (
+        c_int, c_int, c_char_p, c_uint64, c_uint64, c_int, c_int, _EMIT,
+    )
+    lib.mc_enumerate_diffs.restype = c_int
+    int_array = POINTER(c_int)
+    lib.mc_run_hitting.argtypes = (
+        c_int, c_int, c_int, int_array, int_array, POINTER(c_uint64), c_int,
+        int_array, int_array, int_array, int_array, int_array, _EMIT,
+        POINTER(c_longlong), c_char_p,
+    )
+    lib.mc_run_hitting.restype = c_int
+    return lib
+
+
+_lib = _open_library()
+
+
+def _emitter(take):
+    """A C callback that hands each emitted buffer, as bytes, to `take`,
+    and the list that receives the exception `take` raises.  The callback
+    then returns nonzero, which aborts the call (the C side unwinds and
+    frees its memory), and `_check` re-raises the exception.
+
+    A closure rather than an object holding its own callback: without a
+    reference cycle, the callback and everything `take` reaches (a whole
+    search's results) are freed as soon as the call returns, not at some
+    later cyclic collection."""
+    errors = []
+
+    def callback(data, size):
+        try:
+            take(ctypes.string_at(data, size))
+        except BaseException as exc:  # re-raised by _check()
+            errors.append(exc)
+            return 1
+        return 0
+
+    return _EMIT(callback), errors
+
+
+def _check(status: int, errors: list) -> None:
+    if errors:
+        raise errors.pop()
+    if status == _NO_MEMORY:
+        raise MemoryError("native kernels out of memory")
+    if status == _BAD_ARGUMENT:
+        raise ValueError("board size, universe, k or a set mask out of range")
+
+
+def _mask(data: bytes) -> int:
+    return int.from_bytes(data, "little")
+
+
+def solve_limit(box_rows: int, box_cols: int, cells, limit: int):
+    """Count completions up to `limit`; return (count, first, second)."""
+    ncells = (box_rows * box_cols) ** 2
+    if len(cells) != ncells:
+        raise ValueError(f"expected {ncells} cells")
+    out = ctypes.create_string_buffer(2 * ncells)
+    count = _lib.mc_solve_limit(box_rows, box_cols, bytes(cells), limit, out)
+    _check(count, [])
+    raw = out.raw
+    first = tuple(raw[:ncells]) if count >= 1 else None
+    second = tuple(raw[ncells : 2 * ncells]) if count >= 2 else None
+    return count, first, second
+
+
+def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
+                    max_diff: int, max_per_digit: int):
+    """Masks of cells where bounded alternate completions differ from
+    `solution`; see the reference backend for the full contract."""
+    ncells = (box_rows * box_cols) ** 2
+    if len(solution) != ncells:
+        raise ValueError(f"expected {ncells} cells")
+    out = []
+    callback, errors = _emitter(lambda data: out.append(_mask(data)))
+    status = _lib.mc_enumerate_diffs(
+        box_rows, box_cols, bytes(solution), blank_mask & _MASK64,
+        blank_mask >> 64, max_diff, max_per_digit, callback,
+    )
+    _check(status, errors)
+    return out
+
+
+def run_hitting(universe: int, k: int, degrees, masks_by_degree, dedup: bool,
+                check_levels, consolidations, modes, emit):
+    """Positional twin of the reference engine; see _pykernels.run_hitting
+    for the argument contract."""
+    ndeg = len(degrees)
+    per_degree = c_int * ndeg
+    per_level = c_int * k
+    entries = [consolidations.get(d) or (-1, 0) for d in degrees]
+    words = array("Q", (
+        word
+        for masks in masks_by_degree
+        for mask in masks
+        for word in (mask & _MASK64, mask >> 64)
+    ))
+    counters = (c_longlong * (4 + ndeg))()
+    cut_levels = ctypes.create_string_buffer(ndeg * (k + 1))
+    callback, errors = _emitter(lambda data: emit(tuple(data)))
+    status = _lib.mc_run_hitting(
+        universe,
+        k,
+        ndeg,
+        per_degree(*degrees),
+        per_degree(*(len(masks) for masks in masks_by_degree)),
+        (c_uint64 * len(words)).from_buffer(words),
+        bool(dedup),
+        per_degree(*(check_levels.get(d, -1) for d in degrees)),
+        per_degree(*(trigger for trigger, _cap in entries)),
+        per_degree(*(cap for _trigger, cap in entries)),
+        per_level(*(modes[level][0] for level in range(k))),
+        per_level(*(modes[level][1] for level in range(k))),
+        callback,
+        counters,
+        cut_levels,
+    )
+    _check(status, errors)
+    stats = {
+        "nodes": counters[0],
+        "emitted": counters[1],
+        "selection_cuts": counters[2],
+        "consolidations": counters[3],
+        "degree_cuts": {},
+        "degree_cut_levels": {},
+    }
+    flags = cut_levels.raw
+    for di, degree in enumerate(degrees):
+        if degree > 1:
+            row = flags[di * (k + 1) : (di + 1) * (k + 1)]
+            stats["degree_cuts"][degree] = counters[4 + di]
+            stats["degree_cut_levels"][degree] = {
+                level for level, hit in enumerate(row) if hit
+            }
+    return stats

@@ -1,7 +1,7 @@
 """Pure-Python kernels: solver core, alternate-completion enumerator and
 the hitting-set engine.
 
-This is the fallback backend; `_kernels` (compiled) implements the same
+This is the reference backend; `_native` (C, via ctypes) implements the same
 three entry points with identical semantics and emission order.  Bit rows
 are Python ints here, so widths are unbounded.
 """

@@ -1,16 +1,28 @@
 """Kernel backend selection.
 
-The compiled extension `minclue._kernels` is preferred when importable;
-otherwise the pure-Python kernels are used.  Set MINCLUE_BACKEND=python or
-MINCLUE_BACKEND=native to force a choice (forcing an unavailable native
-backend raises on import).
+The native kernels (`minclue._native`, C compiled with gcc on first import)
+are preferred; without a compiler, or when the build fails, the pure-Python
+kernels are used.  Set MINCLUE_BACKEND=python or MINCLUE_BACKEND=native to
+force a choice (forcing an unavailable native backend raises on import).
 """
 
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 from . import _pykernels
+
+
+@lru_cache(maxsize=1)
+def _import_native():
+    """(module, None) or (None, the ImportError); imported once, so a
+    failed build is neither retried nor reported twice."""
+    try:
+        from . import _native
+    except ImportError as exc:
+        return None, exc
+    return _native, None
 
 
 def _load():
@@ -19,14 +31,12 @@ def _load():
         raise RuntimeError(f"unknown MINCLUE_BACKEND value {choice!r}")
     if choice in ("python", "py"):
         return _pykernels
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-
-        return _kernels
-    except ImportError:
+    native, error = _import_native()
+    if native is None:
         if choice == "native":
-            raise
+            raise ImportError(f"MINCLUE_BACKEND=native: {error}") from error
         return _pykernels
+    return native
 
 
 kernels = _load()
@@ -39,10 +49,7 @@ def backend_name() -> str:
 def available_backends() -> dict:
     """Importable backends by name; used by tests and the benchmark."""
     out = {"python": _pykernels}
-    try:
-        from . import _kernels  # type: ignore[attr-defined]
-
-        out["native"] = _kernels
-    except ImportError:
-        pass
+    native, _error = _import_native()
+    if native is not None:
+        out["native"] = native
     return out

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
 from minclue.errors import BudgetExceededError
@@ -309,8 +311,96 @@ class TestBackendParityOnEngine:
                     *flags,
                     consolidation={1: (max(1, instance.k - 1), 32), 2: (1, 32)},
                 )
-                plan = resolve_plan(instance, config)
-                a, b = [], []
-                py.run_hitting(*plan, a.append)
-                native.run_hitting(*plan, b.append)
-                assert a == b
+                assert_engine_parity(py, native, resolve_plan(instance, config))
+
+    def test_degree_cut_above_level_63(self, backends):
+        """k = 66: the degree-2 check runs at level 65 and cuts the branch
+        that drew cell 64 instead of 100."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        from minclue.hitting import resolve_plan
+
+        singletons = [{c} for c in range(64)]
+        instance = make_instance(
+            128, 66, {1: singletons + [{64, 100}, {65, 101}], 2: [{100, 101}],
+                      3: [{5, 70}]}
+        )
+        for config in (EngineConfig(), EngineConfig(False, True, False, False)):
+            stats = assert_engine_parity(
+                backends["python"], backends["native"], resolve_plan(instance, config)
+            )
+            assert stats["degree_cut_levels"] == {2: {65}, 3: set()}
+            assert stats["emitted"] == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_wide_instances(self, backends, data):
+        """Universes beyond 64 cells, more than 64 sets in one degree, and
+        a consolidation at every level-1 node."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        from minclue.hitting import resolve_plan
+
+        instance, config = data.draw(wide_instances())
+        stats = assert_engine_parity(
+            backends["python"], backends["native"], resolve_plan(instance, config)
+        )
+        assert stats["consolidations"] > 0
+
+
+def assert_engine_parity(py, native, plan):
+    """Both backends emit the same sets in the same order and return equal
+    stats dicts; returns the stats."""
+    a, b = [], []
+    stats = py.run_hitting(*plan, a.append)
+    assert native.run_hitting(*plan, b.append) == stats
+    assert a == b
+    return stats
+
+
+@st.composite
+def wide_instances(draw):
+    """A degree-1 family of 65..140 sets over 65..128 cells, k disjoint
+    ones among them (so every hitting set needs all k draws and emission
+    stays small), degree-2 unions of disjoint pairs, and a config that
+    consolidates degree 1 at level 1 (k >= 3 leaves no check there).
+
+    Most other sets are small and contain one of k hub cells, one per
+    disjoint set, so that the first 64 slots of a row can fill up while
+    later, larger sets stay unhit."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    universe = draw(st.integers(65, 128))
+    k = draw(st.integers(3, 5))
+    hub_share = draw(st.sampled_from([0.0, 0.9, 1.0]))
+    cells = rng.sample(range(universe - 1), 6 * k)
+    hubs = cells[::6]
+    deg1 = [set(cells[6 * i : 6 * i + rng.randint(2, 6)]) for i in range(k)]
+    deg1[0].add(universe - 1)
+    for _ in range(draw(st.integers(65 - k, 140 - k))):
+        if rng.random() < hub_share:
+            extra = {rng.choice(hubs), *rng.sample(range(universe), rng.randint(1, 4))}
+        else:  # larger, so sorted behind the hub sets
+            extra = set(rng.sample(range(universe), rng.randint(6, 7)))
+        deg1.append(extra)
+    deg2 = []
+    for _ in range(draw(st.integers(0, 150))):
+        a, b = rng.sample(deg1, 2)
+        if not a & b:
+            deg2.append(a | b)
+    families = {1: deg1, 2: deg2} if deg2 else {1: deg1}
+    consolidation = {1: (1, draw(st.integers(1, 150)))}
+    if k >= 4:
+        consolidation[2] = (draw(st.integers(1, k - 2)), draw(st.integers(1, 150)))
+    config = EngineConfig(
+        enable_dedup=draw(st.booleans()),
+        enable_degree_pruning=draw(st.booleans()),
+        enable_consolidation=True,
+        enable_effective_size=draw(st.booleans()),
+        consolidation=consolidation,
+        selection=SelectionSchedule(
+            full_through=draw(st.integers(0, k)),
+            window_width=draw(st.integers(1, 80)),
+            short_width=draw(st.integers(1, 6)),
+        ),
+    )
+    return make_instance(universe, k, families), config
