@@ -693,5 +693,11 @@ def run_hitting(
             for d in reversed(pushed):
                 restore(d, level)
 
-    recurse(0)
+    try:
+        recurse(0)
+    finally:
+        # recurse reaches itself through its closure; without this the
+        # cycle keeps emit, and all the caller's sink holds, alive until
+        # a cyclic collection
+        del recurse
     return stats

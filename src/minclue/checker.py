@@ -42,11 +42,15 @@ class SearchConfig:
     max_set_size: Optional[int] = None  # None: 8 / 10 / 12 by shape
     family_cap: int = 384
     clique_degrees: Tuple[int, ...] = (2, 3, 4, 5)
-    clique_caps: Dict[int, int] = field(
-        default_factory=lambda: dict(DEFAULT_CLIQUE_CAPS)
-    )
+    clique_caps: Dict[int, int] = field(default_factory=dict)
     clique_starts: Dict[int, int] = field(default_factory=dict)
     engine: EngineConfig = EngineConfig()
+
+    def __post_init__(self) -> None:
+        # a degree without a cap of its own keeps the default cap
+        object.__setattr__(
+            self, "clique_caps", {**DEFAULT_CLIQUE_CAPS, **self.clique_caps}
+        )
 
     def resolved_max_set_size(self, shape: GridShape) -> int:
         if self.max_set_size is not None:
@@ -128,7 +132,7 @@ def search_grid(
                 working,
                 degree,
                 config.clique_start(k, degree),
-                config.clique_caps.get(degree, DEFAULT_CLIQUE_CAPS[degree]),
+                config.clique_caps[degree],
             )
             if len(cliques):
                 families[degree] = tuple(cliques.masks())
@@ -251,32 +255,3 @@ def parse_report(block: str) -> ReportOrError:
         elapsed_ms=int(ms),
     )
 
-
-def config_header_lines(config: SearchConfig, k: int) -> List[str]:
-    """Key=value lines recording the exact configuration of a run."""
-    eng = config.engine
-    pairs = [
-        ("version", CHECKER_VERSION),
-        ("k", k),
-        ("max_set_size", config.max_set_size if config.max_set_size is not None else "auto"),
-        ("family_cap", config.family_cap),
-        ("clique_degrees", ",".join(map(str, config.clique_degrees))),
-        ("dedup", int(eng.enable_dedup)),
-        ("degree_pruning", int(eng.enable_degree_pruning)),
-        ("consolidation", int(eng.enable_consolidation)),
-        ("effective_size", int(eng.enable_effective_size)),
-    ]
-    for d in sorted(config.clique_caps):
-        pairs.append((f"clique_cap.{d}", config.clique_caps[d]))
-    for d in sorted(eng.consolidation):
-        trigger, cap = eng.consolidation[d]
-        pairs.append((f"consolidate.{d}", f"{trigger}:{cap}"))
-    sel = eng.selection
-    pairs.append(
-        (
-            "selection",
-            f"{'auto' if sel.full_through is None else sel.full_through}"
-            f":{sel.window_width}:{sel.short_width}",
-        )
-    )
-    return [f"# {key}={value}" for key, value in pairs]

@@ -13,14 +13,8 @@ from typing import List, Optional
 
 from . import bench as bench_mod
 from .backend import backend_name
-from .checker import (
-    GridSearchError,
-    SearchConfig,
-    config_header_lines,
-    format_report,
-    search_grid,
-)
-from .config import load_config_file
+from .checker import GridSearchError, SearchConfig, format_report, search_grid
+from .config import config_header_lines, load_config_file
 from .errors import (
     BudgetExceededError,
     CheckpointMismatchError,
@@ -29,7 +23,12 @@ from .errors import (
     InconsistentCluesError,
 )
 from .grid import GridShape, format_grid, parse_clue_cells, parse_grid
-from .hitting import EngineConfig, enumerate_hitting_sets, parse_instance
+from .hitting import (
+    EngineConfig,
+    enumerate_hitting_sets,
+    format_hitting_set,
+    parse_instance,
+)
 from .solver import count_completions
 from .symmetry import catalog, minlex, verify_scs_bracket
 from .taskfarm import merge_outputs, run_farm
@@ -206,20 +205,24 @@ def cmd_hitset(args) -> int:
     enumerate_hitting_sets(
         instance,
         EngineConfig(),
-        lambda cells: print(",".join(str(c) for c in cells)),
+        lambda cells: print(format_hitting_set(cells)),
     )
     return 0
 
 
-def _load_search_config(path: Optional[str]):
+def _load_search_config(path: Optional[str], k: int) -> SearchConfig:
+    """The --config file's configuration; a k it pins must equal --k."""
     if path is None:
-        return SearchConfig(), None
-    return load_config_file(path)
+        return SearchConfig()
+    config, file_k = load_config_file(path)
+    if file_k is not None and file_k != k:
+        raise ValueError(f"{path} sets k={file_k} but --k is {k}")
+    return config
 
 
 def cmd_search(args) -> int:
     shape = _shape_arg(args.shape)
-    config, _k = _load_search_config(args.config)
+    config = _load_search_config(args.config, args.k)
     for line in config_header_lines(config, args.k):
         print(line)
     status = 0
@@ -238,7 +241,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_farm(args) -> int:
-    config, _k = _load_search_config(args.config)
+    config = _load_search_config(args.config, args.k)
     summary = run_farm(
         args.catalogue,
         args.k,

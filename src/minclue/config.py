@@ -1,17 +1,20 @@
 """Flat key=value run configuration: parsing, serialization, and mapping
 onto SearchConfig/EngineConfig.
 
-The same keys appear in report headers, so a run can be reproduced from
-its own output.
+This module owns the format in both directions: `build_search_config`
+reads every key that `config_header_lines` writes, so a run can be
+reproduced from its own report header, and `config_digest` pins the same
+text in farm checkpoints.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .checker import SearchConfig
-from .hitting import SelectionSchedule
+from .checker import CHECKER_VERSION, SearchConfig
+from .hitting import DEFAULT_CONSOLIDATION, SelectionSchedule
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -72,8 +75,12 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
         elif key.startswith("clique_start."):
             clique_starts[int(key.split(".", 1)[1])] = int(value)
         elif key.startswith("consolidate."):
-            trigger, cap = value.split(":")
-            consolidation[int(key.split(".", 1)[1])] = (int(trigger), int(cap))
+            degree = int(key.split(".", 1)[1])
+            if value == "off":
+                consolidation.pop(degree, None)
+            else:
+                trigger, cap = value.split(":")
+                consolidation[degree] = (int(trigger), int(cap))
         elif key == "selection":
             full, window, short = value.split(":")
             selection = SelectionSchedule(
@@ -92,3 +99,54 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
 def load_config_file(path) -> Tuple[SearchConfig, Optional[int]]:
     with open(path, encoding="utf-8") as fh:
         return build_search_config(parse_config_text(fh.read()))
+
+
+def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
+    """Every key of the configuration except k, in header order."""
+    eng = config.engine
+    pairs: List[Tuple[str, object]] = [
+        ("version", CHECKER_VERSION),
+        ("max_set_size", config.max_set_size if config.max_set_size is not None else "auto"),
+        ("family_cap", config.family_cap),
+        ("clique_degrees", ",".join(map(str, config.clique_degrees))),
+        ("dedup", int(eng.enable_dedup)),
+        ("degree_pruning", int(eng.enable_degree_pruning)),
+        ("consolidation", int(eng.enable_consolidation)),
+        ("effective_size", int(eng.enable_effective_size)),
+    ]
+    for d in sorted(config.clique_caps):
+        pairs.append((f"clique_cap.{d}", config.clique_caps[d]))
+    for d in sorted(config.clique_starts):
+        pairs.append((f"clique_start.{d}", config.clique_starts[d]))
+    # a default degree missing from the table is written as off, so that
+    # parsing does not bring its default back
+    for d in sorted(set(DEFAULT_CONSOLIDATION) | set(eng.consolidation)):
+        if d in eng.consolidation:
+            trigger, cap = eng.consolidation[d]
+            pairs.append((f"consolidate.{d}", f"{trigger}:{cap}"))
+        else:
+            pairs.append((f"consolidate.{d}", "off"))
+    sel = eng.selection
+    pairs.append(
+        (
+            "selection",
+            f"{'auto' if sel.full_through is None else sel.full_through}"
+            f":{sel.window_width}:{sel.short_width}",
+        )
+    )
+    return pairs
+
+
+def config_header_lines(config: SearchConfig, k: int) -> List[str]:
+    """`# key=value` lines recording the exact configuration of a run;
+    `build_search_config(parse_config_text(...))` reads them back."""
+    pairs = _config_pairs(config)
+    pairs.insert(1, ("k", k))
+    return [f"# {key}={value}" for key, value in pairs]
+
+
+def config_digest(config: SearchConfig) -> str:
+    """sha256 of the configuration's key=value lines, k excluded (a farm
+    checkpoint records k on its own)."""
+    text = "\n".join(f"{key}={value}" for key, value in _config_pairs(config))
+    return hashlib.sha256(text.encode("ascii")).hexdigest()

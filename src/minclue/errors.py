@@ -34,12 +34,9 @@ class BudgetExceededError(MinclueError, RuntimeError):
 
 
 class CheckpointMismatchError(MinclueError, RuntimeError):
-    """Checkpoint does not match the catalogue it claims to describe."""
+    """Checkpoint is unreadable or does not match the run resuming it."""
 
 
 class ConflictingRecordsError(MinclueError, RuntimeError):
     """Duplicate batch records disagree; indicates nondeterminism upstream."""
 
-
-class SafetyCheckError(MinclueError, RuntimeError):
-    """An internal double-check failed; results cannot be trusted."""

@@ -16,32 +16,10 @@ from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backend import kernels
-from .bitrows import con8, con8_table
 from .errors import BudgetExceededError
 from ._pykernels import SEL_FIRST_M, SEL_FIRST_UNHIT, SEL_FIRST_UNHIT_M, SEL_FULL
 
 MAX_UNIVERSE = 128
-
-
-@dataclass(frozen=True)
-class BitRow:
-    """A fixed-width binary row; slot i is bit i of `value`."""
-
-    value: int
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0 or (self.width < self.value.bit_length()):
-            raise ValueError("value has bits beyond the row width")
-
-    def all_ones(self) -> bool:
-        return self.value == (1 << self.width) - 1
-
-    def all_zeros(self) -> bool:
-        return self.value == 0
-
-    def slots(self) -> Tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.width))
 
 
 @dataclass(frozen=True)
@@ -129,14 +107,6 @@ class EngineConfig:
         default_factory=lambda: dict(DEFAULT_CONSOLIDATION)
     )
     selection: SelectionSchedule = SelectionSchedule()
-
-    def flags(self) -> Tuple[bool, bool, bool, bool]:
-        return (
-            self.enable_dedup,
-            self.enable_degree_pruning,
-            self.enable_consolidation,
-            self.enable_effective_size,
-        )
 
 
 def check_level(k: int, degree: int) -> int:
@@ -238,7 +208,6 @@ def enumerate_hitting_sets(
     run_stats = kernels.run_hitting(*plan, emit)
     if stats is not None:
         stats.update(run_stats)
-        stats["unique_emitted"] = emitted
     return emitted
 
 
@@ -261,116 +230,6 @@ def brute_force_hitting_sets(instance: HittingInstance) -> List[Tuple[int, ...]]
         if all(mask & s for s in needed):
             out.append(combo)
     return out
-
-
-# ---------------------------------------------------------------------------
-# hitting-vector plumbing (the engine inlines these; exposed for reuse and
-# for direct testing)
-
-def init_hitting_vectors(instance: HittingInstance) -> Dict[int, Tuple[BitRow, ...]]:
-    """Per degree: for each cell, the membership row over the family."""
-    tables = {}
-    for degree, masks in instance.families.items():
-        m = len(masks)
-        rows = []
-        for c in range(instance.universe_size):
-            value = 0
-            for i, mask in enumerate(masks):
-                if (mask >> c) & 1:
-                    value |= 1 << i
-            rows.append(BitRow(value, m))
-        tables[degree] = tuple(rows)
-    return tables
-
-
-def consolidate(
-    statevec: BitRow, hitvec_table: Sequence[BitRow], cap: int
-) -> Tuple[Tuple[BitRow, ...], Tuple[int, ...]]:
-    """Gather the unhit slots (zeros of `statevec`) of every row, in slot
-    order, truncated to `cap`; returns the new table and the index map
-    from new slot to original slot.
-
-    Works a byte at a time through the con8 table, mirroring how the
-    engine backends compact their vectors mid-search.
-    """
-    table = con8_table()
-    m = statevec.width
-    index_map = []
-    for i in range(m):
-        if not (statevec.value >> i) & 1:
-            index_map.append(i)
-            if len(index_map) == cap:
-                break
-    new_m = len(index_map)
-    n_bytes = (m + 7) // 8
-    new_rows = []
-    for row in hitvec_table:
-        out = 0
-        cnt = 0
-        for b in range(n_bytes):
-            if cnt >= cap:
-                break
-            mask_byte = (statevec.value >> (8 * b)) & 0xFF
-            if b == n_bytes - 1 and m % 8:
-                mask_byte |= ~((1 << (m % 8)) - 1) & 0xFF  # pad slots count as hit
-            bits_byte = (row.value >> (8 * b)) & 0xFF
-            gathered = table[(mask_byte << 8) | bits_byte]
-            out |= gathered << cnt
-            cnt += 8 - mask_byte.bit_count()
-        out &= (1 << new_m) - 1
-        new_rows.append(BitRow(out, new_m))
-    return tuple(new_rows), tuple(index_map)
-
-
-def effective_size(set_mask: int, deadvec: int) -> int:
-    """Number of cells of the set that are not dead."""
-    return (set_mask & ~deadvec).bit_count()
-
-
-def select_set(
-    level: int,
-    masks: Sequence[int],
-    deadvec: int,
-    statevec: BitRow,
-    modes: Sequence[Tuple[int, int]],
-    universe_size: int,
-) -> int:
-    """The engine's selection rule as a standalone operation: index of the
-    degree-1 set to draw from, or -1 when the branch is cut (an unhit set
-    is fully dead)."""
-    mode, param = modes[level]
-    sv = statevec.value
-    m = len(masks)
-    alive = ((1 << universe_size) - 1) & ~deadvec
-    if mode == SEL_FIRST_UNHIT:
-        for i in range(m):
-            if not (sv >> i) & 1:
-                return i
-        return -1
-    best, best_eff = -1, 1 << 30
-    if mode == SEL_FULL:
-        candidates = (i for i in range(m) if not (sv >> i) & 1)
-    elif mode == SEL_FIRST_M:
-        window = min(param, m)
-        in_window = [i for i in range(window) if not (sv >> i) & 1]
-        if not in_window:
-            for i in range(window, m):
-                if not (sv >> i) & 1:
-                    return i
-            return -1
-        candidates = iter(in_window)
-    else:  # SEL_FIRST_UNHIT_M
-        unhit = [i for i in range(m) if not (sv >> i) & 1]
-        candidates = iter(unhit[:param])
-    for i in candidates:
-        eff = (masks[i] & alive).bit_count()
-        if eff < best_eff:
-            best, best_eff = i, eff
-            if eff == 0:
-                break
-    if best_eff == 0:
-        return -1
-    return best
 
 
 # ---------------------------------------------------------------------------

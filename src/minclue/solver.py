@@ -9,7 +9,7 @@ which makes the outcome deterministic for a fixed input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .backend import kernels
 from .errors import InconsistentCluesError
@@ -82,12 +82,3 @@ def verify_two_completions(
             return False
     return a.digits != b.digits
 
-
-def solve_line_outcome(shape: GridShape, cells: Sequence[int],
-                       limit: int = 2) -> Optional[SolveOutcome]:
-    """count_completions variant for stream processing: returns None
-    instead of raising on inconsistent givens."""
-    try:
-        return count_completions(shape, cells, limit)
-    except InconsistentCluesError:
-        return None

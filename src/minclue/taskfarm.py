@@ -28,6 +28,7 @@ from .checker import (
     parse_report,
     search_catalog,
 )
+from .config import config_digest, config_header_lines
 from .errors import CheckpointMismatchError, ConflictingRecordsError
 
 logger = logging.getLogger(__name__)
@@ -42,16 +43,20 @@ class WorkBatch:
 
 @dataclass
 class Checkpoint:
-    digest: str
+    digest: str  # of the catalogue
     k: int
     n_batches: int
+    config_digest: str
     done: Set[int] = field(default_factory=set)
 
     def save(self, path: Path) -> None:
         """Write-to-temporary then rename, so the file is never torn."""
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"catalog {self.digest} k {self.k} batches {self.n_batches}\n")
+            fh.write(
+                f"catalog {self.digest} k {self.k} batches {self.n_batches}"
+                f" config {self.config_digest}\n"
+            )
             for batch_id in sorted(self.done):
                 fh.write(f"done {batch_id}\n")
             fh.flush()
@@ -61,16 +66,24 @@ class Checkpoint:
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
         with open(path, encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 6 or head[0] != "catalog" or head[2] != "k" or head[4] != "batches":
-            raise CheckpointMismatchError(f"malformed checkpoint header {lines[0]!r}")
-        cp = cls(digest=head[1], k=int(head[3]), n_batches=int(head[5]))
-        for ln in lines[1:]:
-            tag, batch_id = ln.split()
-            if tag != "done":
-                raise CheckpointMismatchError(f"malformed checkpoint line {ln!r}")
-            cp.done.add(int(batch_id))
+            lines = [ln.split() for ln in fh if ln.strip()]
+        if not lines:
+            raise CheckpointMismatchError(f"checkpoint {path} is empty")
+        head = lines[0]
+        if len(head) != 8 or head[0::2] != ["catalog", "k", "batches", "config"]:
+            raise CheckpointMismatchError(
+                f"malformed checkpoint header {' '.join(head)!r}; expected"
+                " 'catalog D k K batches N config C' (older checkpoints lack"
+                " the config digest and cannot be resumed)"
+            )
+        try:
+            cp = cls(head[1], int(head[3]), int(head[5]), head[7])
+            for tag, batch_id in lines[1:]:
+                if tag != "done":
+                    raise ValueError(tag)
+                cp.done.add(int(batch_id))
+        except ValueError:
+            raise CheckpointMismatchError(f"malformed checkpoint {path}") from None
         return cp
 
 
@@ -145,6 +158,7 @@ def run_farm(
     lines = catalogue_path.read_text(encoding="ascii").splitlines()
     digest = catalogue_digest(catalogue_path)
     batches = plan_batches(len(lines), batch_size)
+    pinned = config_digest(config)
 
     if checkpoint_path.exists():
         cp = Checkpoint.load(checkpoint_path)
@@ -156,9 +170,16 @@ def run_farm(
             raise CheckpointMismatchError(
                 "checkpoint k or batch plan does not match this run"
             )
+        if cp.config_digest != pinned:
+            raise CheckpointMismatchError(
+                "checkpoint was written with a different search configuration"
+            )
     else:
-        cp = Checkpoint(digest=digest, k=k, n_batches=len(batches))
+        cp = Checkpoint(digest, k, len(batches), pinned)
         cp.save(checkpoint_path)
+    if not output_path.exists() or output_path.stat().st_size == 0:
+        with open(output_path, "w", encoding="ascii") as fh:
+            fh.write("".join(line + "\n" for line in config_header_lines(config, k)))
 
     done_before = len(cp.done)
     pending = [b for b in batches if b.batch_id not in cp.done]

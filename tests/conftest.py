@@ -6,20 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minclue import solver  # noqa: E402
 from minclue.backend import available_backends  # noqa: E402
+from minclue.bench import random_solution_grid  # noqa: E402,F401
 from minclue.grid import SHAPE_4X4, SHAPE_9X9, Grid, GridShape  # noqa: E402
 from minclue.symmetry import representatives  # noqa: E402
-
-
-def random_solution_grid(shape: GridShape, rng: random.Random) -> Grid:
-    """Random first row, then the solver's first completion; deterministic
-    for a fixed seed."""
-    n = shape.side
-    row0 = list(range(1, n + 1))
-    rng.shuffle(row0)
-    cells = tuple(row0) + (0,) * (shape.cell_count - n)
-    return solver.count_completions(shape, cells, 1).completions[0]
 
 
 def clue_cells(grid: Grid, mask: int) -> tuple:

@@ -10,7 +10,6 @@ from minclue.checker import (
     GridSearchReport,
     SearchConfig,
     baseline_config,
-    config_header_lines,
     format_report,
     parse_report,
     search_catalog,
@@ -160,7 +159,11 @@ class TestReportFormat:
         assert parse_report(format_report(err)) == err
 
     def test_header_lines_parse_back(self):
-        from minclue.config import build_search_config, parse_config_text
+        from minclue.config import (
+            build_search_config,
+            config_header_lines,
+            parse_config_text,
+        )
 
         config = SearchConfig(max_set_size=9, family_cap=100)
         text = "\n".join(

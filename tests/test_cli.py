@@ -168,6 +168,21 @@ class TestSearchCli:
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body[0].split("\t")[4] == "12"
 
+    def test_config_k_must_match(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("k=5\n")
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        code, out, err = run_cli(
+            ["search", str(grids), "--k", "4", "--config", str(config)]
+        )
+        assert code == 2
+        assert "k=5" in err and "--k is 4" in err
+        assert out == ""
+        config.write_text("k=4\n")
+        code, _, _ = run_cli(["search", str(grids), "--k", "4", "--config", str(config)])
+        assert code == 0
+
 
 class TestFarmCli:
     def test_farm_and_merge(self, tmp_path):
@@ -187,6 +202,40 @@ class TestFarmCli:
         lines = out.strip().splitlines()
         assert lines[0].startswith("# batches 2 done_before 0 recorded 2")
         assert len([ln for ln in lines[1:] if not ln.startswith("\t")]) == 2
+
+    def farm_argv(self, tmp_path, *extra):
+        catalogue = tmp_path / "cat.txt"
+        reps = representatives(SHAPE_4X4)
+        catalogue.write_text("\n".join(format_grid(r) for r in reps) + "\n")
+        return [
+            "farm", str(catalogue), "--k", "3",
+            "--checkpoint", str(tmp_path / "cp.txt"),
+            "--out", str(tmp_path / "out.txt"), *extra,
+        ]
+
+    def test_config_k_must_match(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("k=4\n")
+        code, _, err = run_cli(self.farm_argv(tmp_path, "--config", str(config)))
+        assert code == 2
+        assert "k=4" in err and "--k is 3" in err
+        assert not (tmp_path / "cp.txt").exists()
+
+    def test_empty_checkpoint_is_a_data_error(self, tmp_path):
+        (tmp_path / "cp.txt").write_text("")
+        code, _, err = run_cli(self.farm_argv(tmp_path))
+        assert code == 2
+        assert "empty" in err and "Traceback" not in err
+
+    def test_resume_with_other_config_is_a_data_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("family_cap=2\n")
+        assert run_cli(self.farm_argv(tmp_path, "--batch", "1"))[0] == 0
+        code, _, err = run_cli(
+            self.farm_argv(tmp_path, "--batch", "1", "--config", str(config))
+        )
+        assert code == 2
+        assert "configuration" in err
 
 
 class TestBenchCli:

@@ -1,0 +1,80 @@
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minclue.checker import DEFAULT_CLIQUE_CAPS, SearchConfig
+from minclue.config import (
+    build_search_config,
+    config_digest,
+    config_header_lines,
+    parse_config_text,
+)
+from minclue.hitting import EngineConfig, SelectionSchedule
+
+degrees = st.integers(1, 8)
+small = st.integers(0, 10**6)
+
+
+@st.composite
+def search_configs(draw):
+    engine = EngineConfig(
+        enable_dedup=draw(st.booleans()),
+        enable_degree_pruning=draw(st.booleans()),
+        enable_consolidation=draw(st.booleans()),
+        enable_effective_size=draw(st.booleans()),
+        consolidation=draw(
+            st.dictionaries(degrees, st.tuples(st.integers(1, 99), st.integers(1, 9999)))
+        ),
+        selection=SelectionSchedule(
+            draw(st.none() | st.integers(-5, 30)), draw(small), draw(small)
+        ),
+    )
+    return SearchConfig(
+        max_set_size=draw(st.none() | st.integers(1, 20)),
+        family_cap=draw(small),
+        clique_degrees=tuple(draw(st.lists(st.integers(2, 8), max_size=6))),
+        clique_caps=draw(st.dictionaries(st.integers(2, 8), small)),
+        clique_starts=draw(st.dictionaries(st.integers(2, 8), st.integers(0, 30))),
+        engine=engine,
+    )
+
+
+def round_trip(config, k):
+    text = "\n".join(line[2:] for line in config_header_lines(config, k))
+    return build_search_config(parse_config_text(text))
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(config=search_configs(), k=st.integers(1, 81))
+    def test_header_parses_back_to_the_same_config(self, config, k):
+        assert round_trip(config, k) == (config, k)
+
+    def test_clique_starts_are_echoed(self):
+        config = SearchConfig(clique_starts={3: 9})
+        assert "# clique_start.3=9" in config_header_lines(config, 16)
+        assert round_trip(config, 16)[0].clique_starts == {3: 9}
+
+    def test_dropped_default_consolidation_stays_dropped(self):
+        config = SearchConfig(engine=EngineConfig(consolidation={1: (7, 128)}))
+        lines = config_header_lines(config, 16)
+        assert "# consolidate.2=off" in lines
+        assert round_trip(config, 16)[0].engine.consolidation == {1: (7, 128)}
+
+    def test_missing_clique_cap_means_the_default(self):
+        assert SearchConfig(clique_caps={2: 5}).clique_caps == {**DEFAULT_CLIQUE_CAPS, 2: 5}
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(ValueError):
+            build_search_config({"clique_start": "3"})
+
+
+class TestDigest:
+    def test_same_config_same_digest(self):
+        assert config_digest(SearchConfig()) == config_digest(round_trip(SearchConfig(), 9)[0])
+
+    def test_any_key_changes_the_digest(self):
+        base = config_digest(SearchConfig())
+        assert config_digest(SearchConfig(family_cap=100)) != base
+        assert config_digest(SearchConfig(clique_starts={4: 3})) != base
+        assert config_digest(SearchConfig(engine=EngineConfig(enable_dedup=False))) != base

@@ -1,28 +1,25 @@
+import gc
 import random
-from itertools import product
+import weakref
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
+from minclue import hitting
 from minclue.errors import BudgetExceededError
 from minclue.hitting import (
-    BitRow,
     EngineConfig,
     HittingInstance,
     SelectionSchedule,
     brute_force_hitting_sets,
     check_level,
-    consolidate,
-    effective_size,
     enumerate_hitting_sets,
     format_hitting_set,
-    init_hitting_vectors,
     parse_instance,
-    select_set,
 )
-from minclue._pykernels import SEL_FIRST_UNHIT
 
 WORKED_FAMILY = [{0, 3, 9, 12}, {0, 1, 27, 28}, {3, 4, 66, 67}]
 
@@ -35,6 +32,23 @@ def run(instance, config=EngineConfig(), stats=None):
     got = []
     enumerate_hitting_sets(instance, config, got.append, stats)
     return got
+
+
+def run_each_backend(backends, instance, config=EngineConfig()):
+    """enumerate_hitting_sets once per available backend; asserts that all
+    of them emit the same sets in the same order with equal stats, and
+    returns (emitted, stats)."""
+    results = []
+    saved = hitting.kernels
+    try:
+        for kern in backends.values():
+            hitting.kernels = kern
+            results.append((run(instance, config, stats := {}), stats))
+    finally:
+        hitting.kernels = saved
+    for other in results[1:]:
+        assert other == results[0]
+    return results[0]
 
 
 def random_instance(rng, max_universe=40, max_k=6, max_sets=30):
@@ -99,19 +113,27 @@ class TestSmallCases:
 
 
 class TestHittingVectors:
-    def test_membership_rows(self):
-        instance = make_instance(81, 2, {1: WORKED_FAMILY})
-        tables = init_hitting_vectors(instance)
-        rows = tables[1]
-        # families sorted by size keeps the given order here (all size 4)
-        assert rows[0].slots() == (1, 1, 0)
-        assert rows[3].slots() == (1, 0, 1)
-        assert rows[80].value == 0
+    """A cell's hitting row marks exactly the sets that contain it."""
 
-    def test_cell_in_no_set_is_zero(self):
+    def test_membership_rows(self, backends):
+        # with k = 1 the engine emits exactly the cells every set contains
+        for n in (1, 2, 3):
+            for subfamily in combinations(WORKED_FAMILY, n):
+                got, _ = run_each_backend(
+                    backends, make_instance(81, 1, {1: list(subfamily)})
+                )
+                assert sorted(got) == [(c,) for c in sorted(set.intersection(*subfamily))]
+        a, b, c = WORKED_FAMILY
+        assert run_each_backend(backends, make_instance(81, 1, {1: [a, b]}))[0] == [(0,)]
+        assert run_each_backend(backends, make_instance(81, 1, {1: [a, c]}))[0] == [(3,)]
+
+    def test_cell_in_no_set_is_zero(self, backends):
+        instance = make_instance(10, 1, {1: [{0, 1}]})
+        assert run_each_backend(backends, instance)[0] == [(0,), (1,)]
         instance = make_instance(10, 2, {1: [{0, 1}]})
-        tables = init_hitting_vectors(instance)
-        assert tables[1][9].value == 0
+        got, _ = run_each_backend(backends, instance)
+        assert sorted(got) == brute_force_hitting_sets(instance)
+        assert len(got) == 17  # C(10, 2) - C(8, 2): cell 9 alone hits nothing
 
 
 class TestCon8:
@@ -142,26 +164,53 @@ class TestCon8:
 
 
 class TestConsolidate:
-    def _instance(self):
-        return make_instance(10, 2, {1: [{0, 1}, {2, 3}, {4, 5}, {6, 7}]})
+    """Consolidation compacts a degree's rows to its unhit sets, in slot
+    order, keeping at most `cap` of them."""
 
-    def test_all_ones_empties_the_table(self):
-        tables = init_hitting_vectors(self._instance())[1]
-        new_table, idx = consolidate(BitRow(0b1111, 4), tables, cap=8)
-        assert idx == ()
-        assert all(row.width == 0 and row.value == 0 for row in new_table)
+    SETS = [{0, 1}, {2, 3}, {4, 5}]
 
-    def test_all_zeros_is_identity_reindexing(self):
-        tables = init_hitting_vectors(self._instance())[1]
-        new_table, idx = consolidate(BitRow(0, 4), tables, cap=8)
-        assert idx == (0, 1, 2, 3)
-        assert [r.value for r in new_table] == [r.value for r in tables]
+    def test_all_ones_empties_the_table(self, backends):
+        # the degree-2 set holds the whole first drawn-from set, so it is hit
+        # at every level-1 node and consolidation leaves an empty table
+        families = {1: self.SETS, 2: [{0, 1, 2, 3}]}
+        instance = make_instance(8, 3, families)
+        config = EngineConfig(consolidation={2: (1, 8)})
+        got, stats = run_each_backend(backends, instance, config)
+        assert stats["consolidations"] == 2
+        assert stats["degree_cuts"] == {2: 0}
+        without, base = run_each_backend(backends, make_instance(8, 3, {1: self.SETS}))
+        assert got == without and stats["nodes"] == base["nodes"]
 
-    def test_cap_truncates(self):
-        tables = init_hitting_vectors(self._instance())[1]
-        new_table, idx = consolidate(BitRow(0, 4), tables, cap=2)
-        assert idx == (0, 1)
-        assert all(row.width == 2 for row in new_table)
+    def test_all_zeros_is_identity_reindexing(self, backends):
+        # no draw from {0, 1} hits the degree-2 set: consolidating its
+        # all-zero row renumbers nothing, so the run is the same run
+        instance = make_instance(8, 3, {1: self.SETS, 2: [{2, 3, 4, 5}]})
+        got, stats = run_each_backend(
+            backends, instance, EngineConfig(consolidation={2: (1, 8)})
+        )
+        plain, base = run_each_backend(
+            backends, instance, EngineConfig(consolidation={})
+        )
+        assert stats["consolidations"] == 2 and base["consolidations"] == 0
+        assert got == plain == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5),
+                                (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5)]
+        assert dict(stats, consolidations=0) == base
+        assert stats["degree_cuts"] == {2: 0}
+
+    def test_cap_truncates(self, backends):
+        # at level 1 the cap keeps {2, 3}, the first unhit set, and drops
+        # {4, 5}; a degree-1 set that is dropped stops being required
+        instance = make_instance(8, 2, {1: self.SETS})
+        assert brute_force_hitting_sets(instance) == []
+        got, stats = run_each_backend(
+            backends, instance, EngineConfig(consolidation={1: (1, 1)})
+        )
+        assert got == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert stats["consolidations"] == 2
+        roomy, _ = run_each_backend(
+            backends, instance, EngineConfig(consolidation={1: (1, 2)})
+        )
+        assert roomy == []
 
     def test_enumeration_unchanged_by_consolidation(self):
         rng = random.Random(77)
@@ -179,25 +228,45 @@ class TestConsolidate:
 
 
 class TestEffectiveSizeAndSelection:
-    def test_effective_size(self):
-        mask = (1 << 0) | (1 << 3) | (1 << 9) | (1 << 12)
-        assert effective_size(mask, 0) == 4
-        assert effective_size(mask, (1 << 3) | (1 << 9)) == 2
+    # sorted by size: A = {0, 1}, then B = {2, 3, 4} before C = {0, 5, 6}.
+    # Drawing 1 from A kills cell 0, leaving C two live cells to B's three.
+    SETS = [{0, 1}, {2, 3, 4}, {0, 5, 6}]
+    FULL = EngineConfig(selection=SelectionSchedule(full_through=3))
 
-    def test_first_unhit_reproduces_baseline(self):
-        instance = make_instance(81, 2, {1: WORKED_FAMILY})
-        masks = list(instance.families[1])
-        modes = [(SEL_FIRST_UNHIT, 0)] * 2
-        idx = select_set(0, masks, 0, BitRow(0, 3), modes, 81)
-        assert idx == 0  # the first (smallest) unhit set
-        idx = select_set(0, masks, 0, BitRow(0b011, 3), modes, 81)
-        assert idx == 2
+    def test_selection_counts_live_cells(self, backends):
+        """Selection counts only live cells: under cell 1 it draws from C."""
+        instance = make_instance(10, 3, {1: self.SETS})
+        got, stats = run_each_backend(backends, instance, self.FULL)
+        assert sorted(got) == brute_force_hitting_sets(instance)
+        assert got[-6:] == [(1, 2, 5), (1, 3, 5), (1, 4, 5),
+                            (1, 2, 6), (1, 3, 6), (1, 4, 6)]
+        assert stats["selection_cuts"] == 0
 
-    def test_fully_dead_selected_set_cuts(self):
-        masks = [0b11, 0b1100]
-        dead = 0b11
-        modes = [(0, 0)]  # full scan
-        assert select_set(0, masks, dead, BitRow(0, 2), modes, 4) == -1
+    def test_first_unhit_reproduces_baseline(self, backends):
+        """Without effective sizes the engine draws from the first unhit
+        set: under cell 1 that is B, whatever C's live cells."""
+        instance = make_instance(10, 3, {1: self.SETS})
+        config = EngineConfig(enable_effective_size=False)
+        got, stats = run_each_backend(backends, instance, config)
+        assert sorted(got) == brute_force_hitting_sets(instance)
+        assert got[-6:] == [(1, 2, 5), (1, 2, 6), (1, 3, 5),
+                            (1, 3, 6), (1, 4, 5), (1, 4, 6)]
+        # the worked family: A is drawn first, then C, the first set 0 misses
+        worked = make_instance(81, 2, {1: WORKED_FAMILY})
+        assert run_each_backend(backends, worked, config)[0][0] == (0, 3)
+
+    def test_fully_dead_selected_set_cuts(self, backends):
+        """Level 0 draws 1 from {0, 1}, level 1 draws 3 from {2, 3} (the
+        width-2 window hides {0, 2}), which leaves {0, 2} unhit with both
+        cells dead: the short scan at level 2 selects it and cuts."""
+        instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
+        config = EngineConfig(
+            selection=SelectionSchedule(full_through=1, window_width=2, short_width=1)
+        )
+        got, stats = run_each_backend(backends, instance, config)
+        assert stats["selection_cuts"] == 1
+        assert sorted(got) == brute_force_hitting_sets(instance)
+        assert len(got) == len(set(got))
 
 
 class TestOracleEquivalence:
@@ -294,6 +363,29 @@ class TestDeterminism:
         rng = random.Random(8)
         instance = random_instance(rng)
         assert run(instance) == run(instance)
+
+
+class TestSinkLifetime:
+    def test_sink_released_when_engine_returns(self, backends):
+        """No reference cycle keeps the sink alive after the call."""
+        class Sink:
+            def __call__(self, cells):
+                pass
+
+        instance = make_instance(8, 2, {1: [{0, 1}, {2, 3}]})
+        saved = hitting.kernels
+        gc.disable()
+        try:
+            for name, kern in backends.items():
+                hitting.kernels = kern
+                sink = Sink()
+                ref = weakref.ref(sink)
+                assert enumerate_hitting_sets(instance, EngineConfig(), sink) == 4
+                del sink
+                assert ref() is None, name
+        finally:
+            gc.enable()
+            hitting.kernels = saved
 
 
 class TestBackendParityOnEngine:

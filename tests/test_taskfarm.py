@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from minclue.checker import GridSearchReport
+from minclue.checker import GridSearchReport, SearchConfig
+from minclue.config import config_digest, config_header_lines
 from minclue.errors import CheckpointMismatchError, ConflictingRecordsError
 from minclue.grid import SHAPE_4X4, format_grid
 from minclue.symmetry import apply, random_transformation, representatives
@@ -59,7 +60,9 @@ class TestPlanBatches:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        cp = Checkpoint(digest="ab" * 32, k=4, n_batches=7, done={0, 3})
+        cp = Checkpoint(
+            digest="ab" * 32, k=4, n_batches=7, config_digest="cd" * 32, done={0, 3}
+        )
         path = tmp_path / "cp.txt"
         cp.save(path)
         back = Checkpoint.load(path)
@@ -68,6 +71,25 @@ class TestCheckpoint:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "cp.txt"
         path.write_text("bogus header\n")
+        with pytest.raises(CheckpointMismatchError):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file_refused(self, tmp_path, text):
+        path = tmp_path / "cp.txt"
+        path.write_text(text)
+        with pytest.raises(CheckpointMismatchError, match="empty"):
+            Checkpoint.load(path)
+
+    def test_header_without_config_digest_refused(self, tmp_path):
+        path = tmp_path / "cp.txt"
+        path.write_text(f"catalog {'ab' * 32} k 4 batches 7\ndone 0\n")
+        with pytest.raises(CheckpointMismatchError, match="config"):
+            Checkpoint.load(path)
+
+    def test_malformed_done_line_refused(self, tmp_path):
+        path = tmp_path / "cp.txt"
+        path.write_text(f"catalog {'ab' * 32} k 4 batches 7 config {'cd' * 32}\ndone x\n")
         with pytest.raises(CheckpointMismatchError):
             Checkpoint.load(path)
 
@@ -105,6 +127,29 @@ class TestRunFarm:
         with pytest.raises(CheckpointMismatchError):
             run_farm(catalogue_50, 3, workers=1, batch_size=30,
                      checkpoint_path=cp_path, output_path=out_path)
+
+    def test_changed_config_refused(self, catalogue_50, tmp_path):
+        cp_path, out_path = farm_paths(tmp_path, "cfgmismatch")
+        run_farm(catalogue_50, 4, workers=1, batch_size=30,
+                 checkpoint_path=cp_path, output_path=out_path, max_batches=1)
+        assert Checkpoint.load(cp_path).config_digest == config_digest(SearchConfig())
+        with pytest.raises(CheckpointMismatchError, match="configuration"):
+            run_farm(catalogue_50, 4, workers=1, batch_size=30,
+                     checkpoint_path=cp_path, output_path=out_path,
+                     config=SearchConfig(family_cap=2))
+
+    def test_output_starts_with_the_config_header(self, catalogue_50, tmp_path):
+        cp_path, out_path = farm_paths(tmp_path, "header")
+        config = SearchConfig(family_cap=5, clique_starts={2: 3})
+        run_farm(catalogue_50, 4, workers=1, batch_size=30, config=config,
+                 checkpoint_path=cp_path, output_path=out_path, max_batches=1)
+        run_farm(catalogue_50, 4, workers=1, batch_size=30, config=config,
+                 checkpoint_path=cp_path, output_path=out_path)
+        text = out_path.read_text()
+        header = config_header_lines(config, 4)
+        assert text.splitlines()[: len(header)] == header
+        assert text.count("# version=") == 1  # a resumed run appends frames only
+        assert len(merge_outputs(out_path)) == 50
 
     def test_worker_cap_env(self, catalogue_50, tmp_path, monkeypatch):
         monkeypatch.setenv("CHECKER_THREADS", "1")
