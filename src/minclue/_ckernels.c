@@ -459,6 +459,9 @@ typedef struct {
     u64 *table_cons;   /* [universe][words_cap] */
     u64 *masks_cons;   /* [cap][2] */
     int check_level;   /* degree>=2 prune level, -1 when none */
+    int last_level;    /* deepest level whose state row is stored: the
+                          trigger, or the level before the check level
+                          (its checks read that row ORed with a cell's) */
     u64 *statevec;     /* [k+1][words_orig] */
     long long cuts;
     u8 *cut_levels;    /* [k+1] flags: a cut happened at that level */
@@ -511,29 +514,86 @@ static inline int row_bit(const u64 *row, int i)
     return (int)((row[i >> 6] >> (i & 63)) & 1);
 }
 
+/* 1 when the entry checks of a node at `level` find every set of the
+ * degree hit (or none left to hit). */
+static inline int all_hit(const DegState *st, int level)
+{
+    int m = consolidated_pre(st, level) ? st->m_cons : st->m_orig;
+    return m == 0
+           || row_all_ones(st->statevec + (size_t)level * st->words_orig, m);
+}
+
+/* all_hit for the node's child through cell c, read from the node's state
+ * row and the cell's row without storing the child's row. */
+static inline int child_all_hit(const DegState *st, int level, int c)
+{
+    int cons = consolidated_post(st, level);
+    int m = cons ? st->m_cons : st->m_orig;
+    int words = m >> 6, rem = m & 63;
+    const u64 *row = (cons ? st->table_cons : st->table_orig)
+                     + (size_t)c * (cons ? st->words_cap : st->words_orig);
+    const u64 *src = st->statevec + (size_t)level * st->words_orig;
+    for (int w = 0; w < words; ++w)
+        if ((src[w] | row[w]) != ~(u64)0)
+            return 0;
+    return !rem || (src[words] | row[words]) == (((u64)1 << rem) - 1);
+}
+
+/* Child state row at level + 1: the row at `level` OR the row of cell c in
+ * the table in force below this node. */
+static inline void build_row(DegState *st, int level, int c)
+{
+    int cons = consolidated_post(st, level);
+    int words = cons ? st->words_cap : st->words_orig;
+    const u64 *row = (cons ? st->table_cons : st->table_orig) + (size_t)c * words;
+    const u64 *src = st->statevec + (size_t)level * st->words_orig;
+    u64 *dst = st->statevec + (size_t)(level + 1) * st->words_orig;
+    for (int w = 0; w < words; ++w)
+        dst[w] = src[w] | row[w];
+}
+
+/* Set `bit` in the rows col[c * stride] of the cells c = base + i of
+ * every bit i of `cells`. */
+static inline void scatter_cells(u64 *col, int stride, u64 cells, int base, u64 bit)
+{
+    while (cells) {
+        col[(size_t)(base + low_index64(cells)) * stride] |= bit;
+        cells &= cells - 1;
+    }
+}
+
 /* Rebuild the degree's table over the first `cap` unhit slots of its state
- * row at `level`; the state row becomes all-zero in the new width.  Rows
- * are only rebuilt for cells still alive: dead cells cannot be chosen
- * below this node, so their rows are never read. */
+ * row at `level`, kept in slot order; the state row becomes all-zero in the
+ * new width.  Unhit slots are the set bits of the row's complement, taken a
+ * word at a time up to m_orig.  Each kept slot's cell mask is scattered
+ * into its bit of the new table, so the cost follows the kept sets' sizes,
+ * not the universe.  With dedup on, dead cells are left out: they cannot
+ * be chosen below this node, so their rows are never read. */
 static void consolidate_degree(Engine *eng, DegState *st, int level)
 {
     u64 *sv = st->statevec + (size_t)level * st->words_orig;
-    u64 dead_lo = eng->dead_lo[level], dead_hi = eng->dead_hi[level];
+    u64 alive_lo = eng->dedup ? ~eng->dead_lo[level] : ~(u64)0;
+    u64 alive_hi = eng->dedup ? ~eng->dead_hi[level] : ~(u64)0;
     int m_new = 0;
     memset(st->table_cons, 0, (size_t)eng->universe * st->words_cap * sizeof(u64));
-    for (int i = 0; i < st->m_orig && m_new < st->cap; ++i) {
-        if (row_bit(sv, i))
-            continue;
-        for (int c = 0; c < eng->universe; ++c) {
-            if (eng->dedup && mask_bit(dead_lo, dead_hi, c))
-                continue;
-            if (row_bit(st->table_orig + (size_t)c * st->words_orig, i))
-                st->table_cons[(size_t)c * st->words_cap + (m_new >> 6)] |=
-                    (u64)1 << (m_new & 63);
+    for (int w = 0; w < st->words_orig && m_new < st->cap; ++w) {
+        u64 unhit = ~sv[w];
+        while (unhit && m_new < st->cap) {
+            int i = (w << 6) + low_index64(unhit);
+            u64 lo, hi, *col, bit;
+            if (i >= st->m_orig)
+                break; /* only the last word runs past m_orig */
+            unhit &= unhit - 1;
+            lo = st->masks_orig[i * 2];
+            hi = st->masks_orig[i * 2 + 1];
+            st->masks_cons[m_new * 2] = lo;
+            st->masks_cons[m_new * 2 + 1] = hi;
+            col = st->table_cons + (m_new >> 6);
+            bit = (u64)1 << (m_new & 63);
+            scatter_cells(col, st->words_cap, lo & alive_lo, 0, bit);
+            scatter_cells(col, st->words_cap, hi & alive_hi, 64, bit);
+            m_new += 1;
         }
-        st->masks_cons[m_new * 2] = st->masks_orig[i * 2];
-        st->masks_cons[m_new * 2 + 1] = st->masks_orig[i * 2 + 1];
-        m_new += 1;
     }
     st->m_cons = m_new;
     memset(sv, 0, st->words_orig * sizeof(u64));
@@ -667,31 +727,38 @@ static int free_fill(Engine *eng, int level)
     }
 }
 
+/* The degree checks of a node at `level`: at the first checked degree
+ * with an unhit set, count the cut and return 1.  With c >= 0 the node is
+ * the child through cell c of a node at level - 1, whose rows it reads. */
+static int degree_cut(Engine *eng, int level, int c)
+{
+    for (int di = 0; di < eng->ndeg; ++di) {
+        DegState *st = &eng->deg[di];
+        if (st->check_level != level)
+            continue;
+        if (c >= 0 ? !child_all_hit(st, level - 1, c) : !all_hit(st, level)) {
+            st->cuts += 1;
+            st->cut_levels[level] = 1;
+            return 1;
+        }
+    }
+    return 0;
+}
+
 static int recurse(Engine *eng, int level)
 {
     DegState *d1 = eng->deg1;
     const u64 *masks;
     u64 set_lo, set_hi, branch_lo, branch_hi;
-    int m, sel;
+    int sel, child = level + 1;
     eng->nodes += 1;
-    if (d1 == NULL)
-        return free_fill(eng, level);
-    m = consolidated_pre(d1, level) ? d1->m_cons : d1->m_orig;
-    if (m == 0 || row_all_ones(d1->statevec + (size_t)level * d1->words_orig, m))
+    if (d1 == NULL || all_hit(d1, level))
         return free_fill(eng, level);
     if (level == eng->k)
         return MC_OK;
-    for (int di = 0; di < eng->ndeg; ++di) {
-        DegState *st = &eng->deg[di];
-        if (st->check_level != level)
-            continue;
-        m = consolidated_pre(st, level) ? st->m_cons : st->m_orig;
-        if (m && !row_all_ones(st->statevec + (size_t)level * st->words_orig, m)) {
-            st->cuts += 1;
-            st->cut_levels[level] = 1;
-            return MC_OK;
-        }
-    }
+    /* every other node had its degree checks run by its parent */
+    if (level == 0 && degree_cut(eng, 0, -1))
+        return MC_OK;
     for (int di = 0; di < eng->ndeg; ++di) {
         if (eng->deg[di].trigger == level) {
             consolidate_degree(eng, &eng->deg[di], level);
@@ -715,18 +782,27 @@ static int recurse(Engine *eng, int level)
             c = 64 + low_index64(branch_hi);
             branch_hi &= branch_hi - 1;
         }
-        eng->hitset[level] = c;
-        for (int di = 0; di < eng->ndeg; ++di) {
-            DegState *st = &eng->deg[di];
-            int cons = consolidated_post(st, level);
-            int words = cons ? st->words_cap : st->words_orig;
-            const u64 *row = (cons ? st->table_cons : st->table_orig)
-                             + (size_t)c * words;
-            const u64 *src = st->statevec + (size_t)level * st->words_orig;
-            u64 *dst = st->statevec + (size_t)(level + 1) * st->words_orig;
-            for (int w = 0; w < words; ++w)
-                dst[w] = src[w] | row[w];
+        /* The child's entry checks run here.  Its degree-1 row comes
+         * first.  A child whose degree-1 row is all hit, or at level k,
+         * free-fills or stops and reads no other row.  For any other
+         * child the degrees checked at its level are tested on this
+         * node's rows ORed with cell c's, without storing the result; a
+         * child they cut is counted as its own entry would count it and
+         * goes no further.  A surviving child gets the rows of the
+         * degrees whose last stored level it has not passed. */
+        build_row(d1, level, c);
+        if (child < eng->k && !all_hit(d1, child)) {
+            if (degree_cut(eng, child, c)) {
+                eng->nodes += 1;
+                continue;
+            }
+            for (int di = 0; di < eng->ndeg; ++di) {
+                DegState *st = &eng->deg[di];
+                if (st != d1 && child <= st->last_level)
+                    build_row(st, level, c);
+            }
         }
+        eng->hitset[level] = c;
         if (eng->dedup) {
             /* cells of the drawn-from set up to c die in the subtree */
             u64 below_lo, below_hi;
@@ -769,6 +845,8 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
     st->words_orig = words;
     st->check_level = check_level;
     st->trigger = trigger;
+    st->last_level = degree == 1 ? eng->k
+                     : check_level - 1 > trigger ? check_level - 1 : trigger;
     st->table_orig = calloc((size_t)universe * words, sizeof(u64));
     st->masks_orig = calloc((size_t)(m > 0 ? m : 1) * 2, sizeof(u64));
     st->statevec = calloc((size_t)(eng->k + 1) * words, sizeof(u64));

@@ -1,8 +1,13 @@
-"""Small bit-vector helpers shared by both engine backends.
+"""Small bit-vector helpers.
 
 Rows are plain Python ints; slot i of a row is bit i.  Tuple notation used
 in docs and tests lists slot 1 first, i.e. (b1, b2, ..., b8) maps to the
 integer b1 + 2*b2 + 4*b3 + ...
+
+`con8` and its table are the paper's byte-gather primitive for
+consolidation, checked by acceptance criterion 5.  Neither engine uses
+them: both rebuild a consolidated table by scattering the kept sets' cell
+masks, which costs the kept sets' sizes rather than a gather per row byte.
 """
 
 from __future__ import annotations

@@ -51,6 +51,12 @@ class SearchConfig:
         object.__setattr__(
             self, "clique_caps", {**DEFAULT_CLIQUE_CAPS, **self.clique_caps}
         )
+        for degree in self.clique_degrees:
+            if degree not in self.clique_caps:
+                raise ValueError(
+                    f"clique degree {degree} has no default cap; "
+                    f"give one with clique_cap.{degree}"
+                )
 
     def resolved_max_set_size(self, shape: GridShape) -> int:
         if self.max_set_size is not None:

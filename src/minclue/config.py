@@ -44,6 +44,7 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
     engine = config.engine
     k: Optional[int] = None
     consolidation = dict(engine.consolidation)
+    clique_degrees = config.clique_degrees
     clique_caps = dict(config.clique_caps)
     clique_starts = dict(config.clique_starts)
     selection = engine.selection
@@ -60,8 +61,7 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
         elif key == "family_cap":
             config = replace(config, family_cap=int(value))
         elif key == "clique_degrees":
-            degrees = tuple(int(tok) for tok in value.split(",") if tok)
-            config = replace(config, clique_degrees=degrees)
+            clique_degrees = tuple(int(tok) for tok in value.split(",") if tok)
         elif key == "dedup":
             engine = replace(engine, enable_dedup=_parse_bool(value))
         elif key == "degree_pruning":
@@ -90,8 +90,14 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
             raise ValueError(f"unknown configuration key {key!r}")
 
     engine = replace(engine, consolidation=consolidation, selection=selection)
+    # the degrees go in with the caps: a degree above the defaults is
+    # valid only once its cap is known
     config = replace(
-        config, engine=engine, clique_caps=clique_caps, clique_starts=clique_starts
+        config,
+        engine=engine,
+        clique_degrees=clique_degrees,
+        clique_caps=clique_caps,
+        clique_starts=clique_starts,
     )
     return config, k
 

@@ -184,6 +184,22 @@ class TestSearchCli:
         assert code == 0
 
 
+    def test_clique_degree_without_a_cap_is_a_data_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("clique_degrees=2,7\n")
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        code, out, err = run_cli(
+            ["search", str(grids), "--k", "8", "--config", str(config)]
+        )
+        assert code == 2
+        assert "clique degree 7" in err and "clique_cap.7" in err
+        assert out == ""
+        config.write_text("clique_degrees=2,7\nclique_cap.7=4\n")
+        code, _, _ = run_cli(["search", str(grids), "--k", "8", "--config", str(config)])
+        assert code == 0
+
+
 class TestFarmCli:
     def test_farm_and_merge(self, tmp_path):
         catalogue = tmp_path / "cat.txt"

@@ -29,11 +29,16 @@ def search_configs(draw):
             draw(st.none() | st.integers(-5, 30)), draw(small), draw(small)
         ),
     )
+    clique_degrees = tuple(draw(st.lists(st.integers(2, 8), max_size=6)))
+    clique_caps = draw(st.dictionaries(st.integers(2, 8), small))
+    for degree in clique_degrees:
+        if degree not in DEFAULT_CLIQUE_CAPS:  # such a degree needs its own cap
+            clique_caps.setdefault(degree, draw(small))
     return SearchConfig(
         max_set_size=draw(st.none() | st.integers(1, 20)),
         family_cap=draw(small),
-        clique_degrees=tuple(draw(st.lists(st.integers(2, 8), max_size=6))),
-        clique_caps=draw(st.dictionaries(st.integers(2, 8), small)),
+        clique_degrees=clique_degrees,
+        clique_caps=clique_caps,
         clique_starts=draw(st.dictionaries(st.integers(2, 8), st.integers(0, 30))),
         engine=engine,
     )
@@ -63,6 +68,16 @@ class TestRoundTrip:
 
     def test_missing_clique_cap_means_the_default(self):
         assert SearchConfig(clique_caps={2: 5}).clique_caps == {**DEFAULT_CLIQUE_CAPS, 2: 5}
+
+    def test_clique_degree_without_a_cap_refused(self):
+        with pytest.raises(ValueError, match="clique degree 7.*clique_cap.7"):
+            SearchConfig(clique_degrees=(2, 7))
+        assert SearchConfig(clique_degrees=(2, 7), clique_caps={7: 9}).clique_caps[7] == 9
+        with pytest.raises(ValueError, match="clique_cap.7"):
+            build_search_config({"clique_degrees": "2,7"})
+        # the degree may come before its cap in the file
+        config, _ = build_search_config({"clique_degrees": "2,7", "clique_cap.7": "9"})
+        assert config.clique_degrees == (2, 7) and config.clique_caps[7] == 9
 
     def test_unknown_key_refused(self):
         with pytest.raises(ValueError):

@@ -388,6 +388,122 @@ class TestSinkLifetime:
             hitting.kernels = saved
 
 
+def run_plan_each_backend(backends, plan):
+    """kernels.run_hitting on a resolved, possibly hand-edited plan, once per
+    available backend; asserts identical emission order and stats, and
+    returns (emitted, stats)."""
+    results = []
+    for kern in backends.values():
+        got = []
+        results.append((got, kern.run_hitting(*plan, got.append)))
+    for other in results[1:]:
+        assert other == results[0]
+    return results[0]
+
+
+def hub_instance(seed, m, k=3):
+    """k over 100 cells: m degree-1 sets, each one of the hub cells 64,
+    81 and 99 plus 1-4 random cells, and degree-2 unions of disjoint pairs.
+    The hubs put cells >= 64 into most kept sets."""
+    rng = random.Random(seed)
+    hubs = (64, 81, 99)
+    deg1 = [{rng.choice(hubs), *rng.sample(range(100), rng.randint(1, 4))}
+            for _ in range(m)]
+    deg2 = []
+    for _ in range(200):
+        a, b = rng.sample(deg1, 2)
+        if not a & b:
+            deg2.append(a | b)
+    return make_instance(100, k, {1: deg1, 2: deg2})
+
+
+class TestConsolidationScatter:
+    """Consolidation at level 1 rebuilds the tables from the kept sets' cell
+    masks: m not a multiple of 64 (so unhit slots sit in a partial last
+    word), caps above 64 that stop inside a word, kept sets with cells >= 64,
+    dedup on and off."""
+
+    @pytest.mark.parametrize("m", [65, 128, 150])
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_parity_and_oracle(self, backends, m, dedup):
+        instance = hub_instance(m, m)
+        oracle = brute_force_hitting_sets(instance)
+        first = instance.families[1][0]
+        # some level-1 node leaves a slot of the last word unhit
+        assert any(not (mask >> c) & 1
+                   for c in range(100) if (first >> c) & 1
+                   for mask in instance.families[1][(m - 1) & ~63:])
+        for cap in (m, 100, 70):
+            config = EngineConfig(
+                enable_dedup=dedup, consolidation={1: (1, cap), 2: (1, 70)}
+            )
+            got, stats = run_each_backend(backends, instance, config)
+            assert stats["consolidations"] > 0
+            assert len(got) == len(set(got))
+            if cap >= m:  # nothing dropped: exactly the hitting sets
+                assert sorted(got) == oracle
+            else:  # dropped sets stop being required
+                assert set(oracle) <= set(got)
+        plain, base = run_each_backend(
+            backends, instance, EngineConfig(enable_dedup=dedup, consolidation={})
+        )
+        assert sorted(plain) == oracle and base["consolidations"] == 0
+
+
+class TestEarlyChildCut:
+    """A child that its degree checks cut is counted in its parent; one
+    whose degree-1 row is all hit, or that sits at level k, is not cut."""
+
+    def test_all_hit_at_the_check_level_falls_through(self, backends):
+        # k = 4 checks degree 2 at level 3, where drawing 1, 3 or 5 from the
+        # three pairs has hit every degree-1 set: those nodes free-fill
+        # though {6, 7} is unhit; only the branch 0, 2, 4 is cut
+        instance = make_instance(
+            10, 4, {1: [{0, 1}, {2, 3}, {4, 5}, {1, 3, 5, 8}], 2: [{6, 7}]}
+        )
+        got, stats = run_each_backend(backends, instance)
+        assert stats["degree_cuts"] == {2: 1}
+        assert stats["degree_cut_levels"] == {2: {3}}
+        oracle = brute_force_hitting_sets(instance)
+        assert sorted(got) == [s for s in oracle if not {0, 2, 4} <= set(s)]
+        unpruned, base = run_each_backend(
+            backends, instance, EngineConfig(enable_degree_pruning=False)
+        )
+        assert sorted(unpruned) == oracle
+        assert stats["nodes"] == base["nodes"] - 4  # the cut node's 4 children
+
+    def test_check_at_level_k_never_cuts(self, backends):
+        # a hand-made plan that checks degree 2 at level k = 2: a node there
+        # emits when every degree-1 set is hit and stops otherwise, uncut
+        instance = make_instance(8, 2, {1: [{0, 1}, {2, 3}, {0, 2, 4}], 2: [{6, 7}]})
+        plan = list(hitting.resolve_plan(instance, EngineConfig()))
+        plan[5] = {2: 2}  # check_levels
+        got, stats = run_plan_each_backend(backends, plan)
+        assert stats["degree_cuts"] == {2: 0}
+        assert stats["degree_cut_levels"] == {2: set()}
+        assert sorted(got) == brute_force_hitting_sets(instance)
+        assert stats["nodes"] == 7
+
+    def test_check_at_the_root(self, backends):
+        # degree 3 > k is checked at level 0, which the root runs itself
+        instance = make_instance(8, 2, {1: [{0, 1}], 3: [{2, 3, 4}]})
+        got, stats = run_each_backend(backends, instance)
+        assert got == []
+        assert stats["nodes"] == 1
+        assert stats["degree_cut_levels"] == {3: {0}}
+
+    def test_checks_around_the_consolidation_level(self, backends):
+        """Hand-made plans that consolidate degree 2 before its check level
+        (3) and at it; every backend must agree on emission and stats."""
+        instance = hub_instance(7, 150, k=4)
+        for trigger in (1, 2, 3):
+            plan = list(hitting.resolve_plan(instance, EngineConfig()))
+            plan[6] = {1: (1, 90), 2: (trigger, 80)}  # consolidations
+            got, stats = run_plan_each_backend(backends, plan)
+            assert stats["degree_cuts"][2] > 0
+            assert stats["degree_cut_levels"] == {2: {3}}
+
+
 class TestBackendParityOnEngine:
     def test_identical_emission_and_order(self, backends):
         if "native" not in backends:
