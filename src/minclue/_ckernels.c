@@ -473,11 +473,8 @@ typedef struct {
     int ndeg;
     DegState *deg;
     DegState *deg1;    /* the degree-1 state, NULL if none */
-    int dedup;
     u64 dead_lo[MAX_K + 1];
     u64 dead_hi[MAX_K + 1];
-    u64 chosen_lo;     /* only used when dedup is off */
-    u64 chosen_hi;
     int hitset[MAX_K];
     const int *mode_code;
     const int *mode_param;
@@ -567,13 +564,12 @@ static inline void scatter_cells(u64 *col, int stride, u64 cells, int base, u64 
  * new width.  Unhit slots are the set bits of the row's complement, taken a
  * word at a time up to m_orig.  Each kept slot's cell mask is scattered
  * into its bit of the new table, so the cost follows the kept sets' sizes,
- * not the universe.  With dedup on, dead cells are left out: they cannot
- * be chosen below this node, so their rows are never read. */
+ * not the universe.  Dead cells are left out: they cannot be chosen
+ * below this node, so their rows are never read. */
 static void consolidate_degree(Engine *eng, DegState *st, int level)
 {
     u64 *sv = st->statevec + (size_t)level * st->words_orig;
-    u64 alive_lo = eng->dedup ? ~eng->dead_lo[level] : ~(u64)0;
-    u64 alive_hi = eng->dedup ? ~eng->dead_hi[level] : ~(u64)0;
+    u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
     int m_new = 0;
     memset(st->table_cons, 0, (size_t)eng->universe * st->words_cap * sizeof(u64));
     for (int w = 0; w < st->words_orig && m_new < st->cap; ++w) {
@@ -687,24 +683,17 @@ static int emit_cells(Engine *eng, const int *extra, int n_extra, int level)
     return eng->emit(buf, total) ? MC_ABORTED : MC_OK;
 }
 
-/* Emit every completion of the drawn cells by k - level further cells. */
+/* Emit every completion of the drawn cells by k - level further live
+ * cells (the drawn cells are dead). */
 static int free_fill(Engine *eng, int level)
 {
     int need = eng->k - level;
     int avail[MAX_UNIVERSE], idx[MAX_K], extra[MAX_K];
     int n_avail = 0;
-    u64 excl_lo, excl_hi;
     if (need == 0)
         return emit_cells(eng, NULL, 0, level);
-    if (eng->dedup) {
-        excl_lo = eng->dead_lo[level];
-        excl_hi = eng->dead_hi[level];
-    } else {
-        excl_lo = eng->chosen_lo;
-        excl_hi = eng->chosen_hi;
-    }
     for (int c = 0; c < eng->universe; ++c)
-        if (!mask_bit(excl_lo, excl_hi, c))
+        if (!mask_bit(eng->dead_lo[level], eng->dead_hi[level], c))
             avail[n_avail++] = c;
     if (need > n_avail)
         return MC_OK;
@@ -771,9 +760,10 @@ static int recurse(Engine *eng, int level)
     masks = consolidated_post(d1, level) ? d1->masks_cons : d1->masks_orig;
     set_lo = masks[sel * 2];
     set_hi = masks[sel * 2 + 1];
-    branch_lo = eng->dedup ? set_lo & ~eng->dead_lo[level] : set_lo;
-    branch_hi = eng->dedup ? set_hi & ~eng->dead_hi[level] : set_hi;
+    branch_lo = set_lo & ~eng->dead_lo[level];
+    branch_hi = set_hi & ~eng->dead_hi[level];
     while (branch_lo || branch_hi) {
+        u64 below_lo, below_hi;
         int c;
         if (branch_lo) {
             c = low_index64(branch_lo);
@@ -803,34 +793,18 @@ static int recurse(Engine *eng, int level)
             }
         }
         eng->hitset[level] = c;
-        if (eng->dedup) {
-            /* cells of the drawn-from set up to c die in the subtree */
-            u64 below_lo, below_hi;
-            if (c < 64) {
-                below_lo = set_lo & (c == 63 ? ~(u64)0 : ((u64)1 << (c + 1)) - 1);
-                below_hi = 0;
-            } else {
-                below_lo = set_lo;
-                below_hi = set_hi & (c == 127 ? ~(u64)0 : ((u64)1 << (c - 63)) - 1);
-            }
-            eng->dead_lo[level + 1] = eng->dead_lo[level] | below_lo;
-            eng->dead_hi[level + 1] = eng->dead_hi[level] | below_hi;
+        /* cells of the drawn-from set up to c die in the subtree */
+        if (c < 64) {
+            below_lo = set_lo & (c == 63 ? ~(u64)0 : ((u64)1 << (c + 1)) - 1);
+            below_hi = 0;
         } else {
-            eng->dead_lo[level + 1] = eng->dead_lo[level];
-            eng->dead_hi[level + 1] = eng->dead_hi[level];
-            if (c < 64)
-                eng->chosen_lo |= (u64)1 << c;
-            else
-                eng->chosen_hi |= (u64)1 << (c - 64);
+            below_lo = set_lo;
+            below_hi = set_hi & (c == 127 ? ~(u64)0 : ((u64)1 << (c - 63)) - 1);
         }
+        eng->dead_lo[level + 1] = eng->dead_lo[level] | below_lo;
+        eng->dead_hi[level + 1] = eng->dead_hi[level] | below_hi;
         if (recurse(eng, level + 1))
             return MC_ABORTED;
-        if (!eng->dedup) {
-            if (c < 64)
-                eng->chosen_lo &= ~((u64)1 << c);
-            else
-                eng->chosen_hi &= ~((u64)1 << (c - 64));
-        }
     }
     return MC_OK;
 }
@@ -879,10 +853,11 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
     return MC_OK;
 }
 
-/* Positional twin of _pykernels.run_hitting.  Per degree di (ascending,
- * degree 1 first when present): counts[di] masks of two words each (cells
- * 0..63, then 64..127), concatenated over all degrees in `masks`;
- * check_levels[di] or -1;
+/* Positional twin of _pykernels.run_hitting: every k-subset of the
+ * universe that hits each degree-1 set, emitted exactly once through the
+ * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
+ * counts[di] masks of two words each (cells 0..63, then 64..127),
+ * concatenated over all degrees in `masks`; check_levels[di] or -1;
  * triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
  * mode_params.  On return stats holds nodes, emitted, selection_cuts,
  * consolidations and then the cut count per degree; cut_levels holds k+1
@@ -890,7 +865,7 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range or a mask with
  * cells outside the universe. */
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
-                   const int *counts, const u64 *masks, int dedup,
+                   const int *counts, const u64 *masks,
                    const int *check_levels, const int *triggers,
                    const int *caps, const int *mode_codes,
                    const int *mode_params, mc_emit_fn emit,
@@ -912,7 +887,6 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     eng->universe = universe;
     eng->k = k;
     eng->ndeg = ndeg;
-    eng->dedup = dedup;
     eng->mode_code = mode_codes;
     eng->mode_param = mode_params;
     eng->emit = emit;

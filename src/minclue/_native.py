@@ -54,7 +54,7 @@ def _open_library() -> ctypes.CDLL:
     lib.mc_enumerate_diffs.restype = c_int
     int_array = POINTER(c_int)
     lib.mc_run_hitting.argtypes = (
-        c_int, c_int, c_int, int_array, int_array, POINTER(c_uint64), c_int,
+        c_int, c_int, c_int, int_array, int_array, POINTER(c_uint64),
         int_array, int_array, int_array, int_array, int_array, _EMIT,
         POINTER(c_longlong), c_char_p,
     )
@@ -132,8 +132,8 @@ def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
     return out
 
 
-def run_hitting(universe: int, k: int, degrees, masks_by_degree, dedup: bool,
-                check_levels, consolidations, modes, emit):
+def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
+                consolidations, modes, emit):
     """Positional twin of the reference engine; see _pykernels.run_hitting
     for the argument contract."""
     ndeg = len(degrees)
@@ -156,7 +156,6 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, dedup: bool,
         per_degree(*degrees),
         per_degree(*(len(masks) for masks in masks_by_degree)),
         (c_uint64 * len(words)).from_buffer(words),
-        bool(dedup),
         per_degree(*(check_levels.get(d, -1) for d in degrees)),
         per_degree(*(trigger for trigger, _cap in entries)),
         per_degree(*(cap for _trigger, cap in entries)),

@@ -478,14 +478,17 @@ def run_hitting(
     k: int,
     degrees,
     masks_by_degree,
-    dedup: bool,
     check_levels,
     consolidations,
     modes,
     emit,
 ):
-    """Enumerate k-subsets of range(universe) hitting every degree-1 set.
+    """Enumerate k-subsets of range(universe) hitting every degree-1 set,
+    each exactly once: the cells of the drawn-from set up to the drawn cell
+    are dead in its subtree, and free-fill takes only live cells.
 
+    universe          cell count, cells 0..universe-1
+    k                 size of each emitted set
     degrees           sorted degree list; degrees[0] == 1 when present
     masks_by_degree   per degree, list of cell masks (ints)
     check_levels      per degree, level at which to test all-hit (or -1)
@@ -636,15 +639,7 @@ def run_hitting(
             stats["emitted"] += 1
             emit(base)
             return
-        if dedup:
-            avail = [
-                c
-                for c in range(universe)
-                if not (deadvec[level] >> c) & 1
-            ]
-        else:
-            chosen = set(hitset)
-            avail = [c for c in range(universe) if c not in chosen]
+        avail = [c for c in range(universe) if not (deadvec[level] >> c) & 1]
         for combo in combinations(avail, need):
             stats["emitted"] += 1
             emit(tuple(sorted(hitset + list(combo))))
@@ -671,22 +666,12 @@ def run_hitting(
             if i_sel < 0:
                 return
             set_mask = deg1.masks[i_sel]
-            if dedup:
-                branch_mask = set_mask & ~deadvec[level]
-            else:
-                branch_mask = set_mask
-            for c in bits_ascending(branch_mask):
+            for c in bits_ascending(set_mask & ~deadvec[level]):
                 hitset.append(c)
                 for d, st in states.items():
-                    new = statevec[d][level] | st.hitvec[c]
-                    assert new | statevec[d][level] == new
-                    statevec[d][level + 1] = new
-                if dedup:
-                    deadvec[level + 1] = deadvec[level] | (
-                        set_mask & ((1 << (c + 1)) - 1)
-                    )
-                else:
-                    deadvec[level + 1] = deadvec[level]
+                    statevec[d][level + 1] = statevec[d][level] | st.hitvec[c]
+                # cells of the drawn-from set up to c die in the subtree
+                deadvec[level + 1] = deadvec[level] | (set_mask & ((1 << (c + 1)) - 1))
                 recurse(level + 1)
                 hitset.pop()
         finally:

@@ -10,7 +10,7 @@ from typing import Dict
 
 from .backend import available_backends
 from .grid import SHAPE_9X9, Grid, GridShape
-from ._pykernels import SEL_FIRST_UNHIT
+from .hitting import EngineConfig, HittingInstance, resolve_plan
 
 
 def random_solution_grid(shape: GridShape, rng: random.Random) -> Grid:
@@ -96,21 +96,16 @@ def bench_hitting(seed: int = 1) -> Dict[str, float]:
         a, b = rng.sample(deg1, 2)
         if not a & b:
             deg2.append(a | b)
-    modes = [(SEL_FIRST_UNHIT, 0)] * 10
+    plan = resolve_plan(
+        HittingInstance(81, 10, {1: deg1, 2: deg2}),
+        EngineConfig(
+            enable_effective_size=False, consolidation={1: (5, 64), 2: (4, 256)}
+        ),
+    )
     times = {}
     for name, kern in available_backends().items():
         started = time.perf_counter()
-        kern.run_hitting(
-            81,
-            10,
-            [1, 2],
-            [deg1, deg2],
-            True,
-            {2: 9},
-            {1: (5, 64), 2: (4, 256)},
-            modes,
-            lambda cells: None,
-        )
+        kern.run_hitting(*plan, lambda cells: None)
         times[name] = time.perf_counter() - started
     return times
 

@@ -68,7 +68,7 @@ class SearchConfig:
 
 
 def baseline_config() -> SearchConfig:
-    """The unimproved engine: dead-cell dedup only, no degree pruning, no
+    """The unimproved engine: the dead-cell rule only, no degree pruning, no
     consolidation, first-unhit selection."""
     return SearchConfig(
         clique_degrees=(),

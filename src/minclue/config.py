@@ -18,9 +18,18 @@ from .hitting import DEFAULT_CONSOLIDATION, SelectionSchedule
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
+    """The key=value pairs of a config file, where `#` lines are comments,
+    or of a run header: a text whose first non-blank line is `# version=`
+    (as `config_header_lines` writes it) is read as pairs, `# ` removed,
+    up to its first line without `#`, so a run's output replays it."""
     pairs: Dict[str, str] = {}
+    header = text.lstrip().startswith("# version=")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if header:
+            if line and not line.startswith("#"):
+                break
+            line = line[1:].strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -62,8 +71,6 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
             config = replace(config, family_cap=int(value))
         elif key == "clique_degrees":
             clique_degrees = tuple(int(tok) for tok in value.split(",") if tok)
-        elif key == "dedup":
-            engine = replace(engine, enable_dedup=_parse_bool(value))
         elif key == "degree_pruning":
             engine = replace(engine, enable_degree_pruning=_parse_bool(value))
         elif key == "consolidation":
@@ -115,7 +122,6 @@ def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
         ("max_set_size", config.max_set_size if config.max_set_size is not None else "auto"),
         ("family_cap", config.family_cap),
         ("clique_degrees", ",".join(map(str, config.clique_degrees))),
-        ("dedup", int(eng.enable_dedup)),
         ("degree_pruning", int(eng.enable_degree_pruning)),
         ("consolidation", int(eng.enable_consolidation)),
         ("effective_size", int(eng.enable_effective_size)),

@@ -99,7 +99,6 @@ DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class EngineConfig:
-    enable_dedup: bool = True
     enable_degree_pruning: bool = True
     enable_consolidation: bool = True
     enable_effective_size: bool = True
@@ -163,7 +162,6 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
         k,
         degrees,
         masks_by_degree,
-        config.enable_dedup,
         check_levels,
         consolidations,
         modes,
@@ -179,36 +177,14 @@ def enumerate_hitting_sets(
     """Feed every k-subset hitting all degree-1 sets to `sink`, each
     exactly once, in a deterministic order; returns the number emitted.
 
-    The sink must not re-enter the engine.  Without the dead-cell rule
-    (enable_dedup False) the raw traversal reaches sets repeatedly, so a
-    seen-set guard keeps emission exactly-once in that mode too.
+    The sink must not re-enter the engine.
     """
-    plan = resolve_plan(instance, config)
-    emitted = 0
-
     if sink is None:
         sink = lambda cells: None
-
-    if config.enable_dedup:
-        def emit(cells: Tuple[int, ...]) -> None:
-            nonlocal emitted
-            emitted += 1
-            sink(cells)
-    else:
-        seen = set()
-
-        def emit(cells: Tuple[int, ...]) -> None:
-            nonlocal emitted
-            if cells in seen:
-                return
-            seen.add(cells)
-            emitted += 1
-            sink(cells)
-
-    run_stats = kernels.run_hitting(*plan, emit)
+    run_stats = kernels.run_hitting(*resolve_plan(instance, config), sink)
     if stats is not None:
         stats.update(run_stats)
-    return emitted
+    return run_stats["emitted"]
 
 
 def brute_force_hitting_sets(instance: HittingInstance) -> List[Tuple[int, ...]]:

@@ -173,7 +173,6 @@ class TestReportFormat:
         assert k == 12
         assert rebuilt.max_set_size == 9
         assert rebuilt.family_cap == 100
-        assert rebuilt.engine.enable_dedup
 
 
 class TestSafetyPath:

@@ -157,7 +157,7 @@ class TestSearchCli:
 
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("family_cap=2\ndedup=1\n")
+        config.write_text("family_cap=2\ndegree_pruning=1\n")
         grids = tmp_path / "grids.txt"
         grids.write_text("1234341221434321\n")
         code, out, _ = run_cli(
@@ -167,6 +167,45 @@ class TestSearchCli:
         assert "# family_cap=2" in out
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body[0].split("\t")[4] == "12"
+
+    def test_output_replays_its_header(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("family_cap=2\nconsolidate.3=off\n")
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        code, out, _ = run_cli(
+            ["search", str(grids), "--k", "4", "--config", str(config)]
+        )
+        assert code == 0
+        saved = tmp_path / "out.txt"
+        saved.write_text(out)
+        code, replay, _ = run_cli(
+            ["search", str(grids), "--k", "4", "--config", str(saved)]
+        )
+        assert code == 0
+        header = [ln for ln in out.splitlines() if ln.startswith("#")]
+        assert [ln for ln in replay.splitlines() if ln.startswith("#")] == header
+        assert "# family_cap=2" in header and "# consolidate.3=off" in header
+        code, _, err = run_cli(
+            ["search", str(grids), "--k", "5", "--config", str(saved)]
+        )
+        assert code == 2 and "k=4" in err
+
+    def test_removed_key_is_refused(self, tmp_path):
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        config = tmp_path / "run.cfg"
+        _, out, _ = run_cli(["search", str(grids), "--k", "4"])
+        old_header = [ln for ln in out.splitlines() if ln.startswith("#")]
+        old_header.insert(5, "# dedup=1")  # where older headers wrote it
+        for text in ("family_cap=2\ndedup=1\n", "\n".join(old_header) + "\n"):
+            config.write_text(text)
+            code, out, err = run_cli(
+                ["search", str(grids), "--k", "4", "--config", str(config)]
+            )
+            assert code == 2
+            assert "unknown configuration key 'dedup'" in err
+            assert out == ""
 
     def test_config_k_must_match(self, tmp_path):
         config = tmp_path / "run.cfg"

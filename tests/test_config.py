@@ -18,7 +18,6 @@ small = st.integers(0, 10**6)
 @st.composite
 def search_configs(draw):
     engine = EngineConfig(
-        enable_dedup=draw(st.booleans()),
         enable_degree_pruning=draw(st.booleans()),
         enable_consolidation=draw(st.booleans()),
         enable_effective_size=draw(st.booleans()),
@@ -79,6 +78,16 @@ class TestRoundTrip:
         config, _ = build_search_config({"clique_degrees": "2,7", "clique_cap.7": "9"})
         assert config.clique_degrees == (2, 7) and config.clique_caps[7] == 9
 
+    def test_comments_outside_a_run_header(self):
+        text = "# family_cap=3\nfamily_cap=2\n# consolidation=0\n"
+        assert parse_config_text(text) == {"family_cap": "2"}
+        header = "\n".join(config_header_lines(SearchConfig(family_cap=3), 7))
+        replayed = header + "\ngrid\tline\n# family_cap=2\n"
+        assert build_search_config(parse_config_text(replayed)) == (
+            SearchConfig(family_cap=3),
+            7,
+        )
+
     def test_unknown_key_refused(self):
         with pytest.raises(ValueError):
             build_search_config({"clique_start": "3"})
@@ -92,4 +101,4 @@ class TestDigest:
         base = config_digest(SearchConfig())
         assert config_digest(SearchConfig(family_cap=100)) != base
         assert config_digest(SearchConfig(clique_starts={4: 3})) != base
-        assert config_digest(SearchConfig(engine=EngineConfig(enable_dedup=False))) != base
+        assert config_digest(SearchConfig(engine=EngineConfig(enable_consolidation=False))) != base

@@ -275,7 +275,7 @@ class TestOracleEquivalence:
         for trial in range(40):
             instance = random_instance(rng, max_universe=28, max_k=5, max_sets=16)
             oracle = brute_force_hitting_sets(instance)
-            for flags in product((True, False), repeat=4):
+            for flags in product((True, False), repeat=3):
                 config = EngineConfig(
                     *flags,
                     consolidation={
@@ -420,12 +420,10 @@ def hub_instance(seed, m, k=3):
 class TestConsolidationScatter:
     """Consolidation at level 1 rebuilds the tables from the kept sets' cell
     masks: m not a multiple of 64 (so unhit slots sit in a partial last
-    word), caps above 64 that stop inside a word, kept sets with cells >= 64,
-    dedup on and off."""
+    word), caps above 64 that stop inside a word, kept sets with cells >= 64."""
 
     @pytest.mark.parametrize("m", [65, 128, 150])
-    @pytest.mark.parametrize("dedup", [True, False])
-    def test_parity_and_oracle(self, backends, m, dedup):
+    def test_parity_and_oracle(self, backends, m):
         instance = hub_instance(m, m)
         oracle = brute_force_hitting_sets(instance)
         first = instance.families[1][0]
@@ -434,9 +432,7 @@ class TestConsolidationScatter:
                    for c in range(100) if (first >> c) & 1
                    for mask in instance.families[1][(m - 1) & ~63:])
         for cap in (m, 100, 70):
-            config = EngineConfig(
-                enable_dedup=dedup, consolidation={1: (1, cap), 2: (1, 70)}
-            )
+            config = EngineConfig(consolidation={1: (1, cap), 2: (1, 70)})
             got, stats = run_each_backend(backends, instance, config)
             assert stats["consolidations"] > 0
             assert len(got) == len(set(got))
@@ -445,7 +441,7 @@ class TestConsolidationScatter:
             else:  # dropped sets stop being required
                 assert set(oracle) <= set(got)
         plain, base = run_each_backend(
-            backends, instance, EngineConfig(enable_dedup=dedup, consolidation={})
+            backends, instance, EngineConfig(consolidation={})
         )
         assert sorted(plain) == oracle and base["consolidations"] == 0
 
@@ -477,7 +473,7 @@ class TestEarlyChildCut:
         # emits when every degree-1 set is hit and stops otherwise, uncut
         instance = make_instance(8, 2, {1: [{0, 1}, {2, 3}, {0, 2, 4}], 2: [{6, 7}]})
         plan = list(hitting.resolve_plan(instance, EngineConfig()))
-        plan[5] = {2: 2}  # check_levels
+        plan[4] = {2: 2}  # check_levels
         got, stats = run_plan_each_backend(backends, plan)
         assert stats["degree_cuts"] == {2: 0}
         assert stats["degree_cut_levels"] == {2: set()}
@@ -498,7 +494,7 @@ class TestEarlyChildCut:
         instance = hub_instance(7, 150, k=4)
         for trigger in (1, 2, 3):
             plan = list(hitting.resolve_plan(instance, EngineConfig()))
-            plan[6] = {1: (1, 90), 2: (trigger, 80)}  # consolidations
+            plan[5] = {1: (1, 90), 2: (trigger, 80)}  # consolidations
             got, stats = run_plan_each_backend(backends, plan)
             assert stats["degree_cuts"][2] > 0
             assert stats["degree_cut_levels"] == {2: {3}}
@@ -514,7 +510,7 @@ class TestBackendParityOnEngine:
         py, native = backends["python"], backends["native"]
         for _ in range(25):
             instance = random_instance(rng, max_universe=30, max_k=5, max_sets=16)
-            for flags in ((True,) * 4, (False,) * 4, (True, False, True, False)):
+            for flags in ((True,) * 3, (False,) * 3, (False, True, False)):
                 config = EngineConfig(
                     *flags,
                     consolidation={1: (max(1, instance.k - 1), 32), 2: (1, 32)},
@@ -533,7 +529,7 @@ class TestBackendParityOnEngine:
             128, 66, {1: singletons + [{64, 100}, {65, 101}], 2: [{100, 101}],
                       3: [{5, 70}]}
         )
-        for config in (EngineConfig(), EngineConfig(False, True, False, False)):
+        for config in (EngineConfig(), EngineConfig(True, False, False)):
             stats = assert_engine_parity(
                 backends["python"], backends["native"], resolve_plan(instance, config)
             )
@@ -600,7 +596,6 @@ def wide_instances(draw):
     if k >= 4:
         consolidation[2] = (draw(st.integers(1, k - 2)), draw(st.integers(1, 150)))
     config = EngineConfig(
-        enable_dedup=draw(st.booleans()),
         enable_degree_pruning=draw(st.booleans()),
         enable_consolidation=True,
         enable_effective_size=draw(st.booleans()),
