@@ -1,5 +1,6 @@
-/* Native kernels: solver core, alternate-completion enumerator and the
- * hitting-set engine, in plain C99 with no Python API.
+/* Native kernels: solver core, batch confirmation of candidate clue sets,
+ * alternate-completion enumerator and the hitting-set engine, in plain C99
+ * with no Python API.
  *
  * minclue._native loads this file through ctypes.  Semantics, emission
  * order and counters match minclue._pykernels exactly; that module is the
@@ -339,6 +340,81 @@ int mc_solve_limit(int box_rows, int box_cols, const u8 *cells, int limit,
         return MC_BAD_ARGUMENT;
     board_init(&geo, &board, cells);
     return solve_rec(&geo, &board, limit, &saved, out);
+}
+
+/* ------------------------------------------------------------------------
+ * batch confirmation of candidate clue sets */
+
+enum { CONFIRM_AMBIGUOUS = 0, CONFIRM_PROPER = 1, CONFIRM_UNSAFE = 2 };
+
+/* 1 when every unit of `grid` is a permutation of 1..n and `grid` extends
+ * `clues` (0 for blanks).  Reads only the unit tables, none of the solver's
+ * propagation state. */
+static int completion_ok(const Geo *geo, const u8 *grid, const u8 *clues)
+{
+    int n = geo->n;
+    unsigned int full = (1u << n) - 1;
+    for (int u = 0; u < 3 * n; ++u) {
+        unsigned int seen = 0;
+        for (int i = 0; i < n; ++i) {
+            int d = grid[geo->unit_cells[u][i]];
+            if (d < 1 || d > n)
+                return 0;
+            seen |= 1u << (d - 1);
+        }
+        if (seen != full)
+            return 0;
+    }
+    for (int c = 0; c < geo->ncells; ++c)
+        if (clues[c] && grid[c] != clues[c])
+            return 0;
+    return 1;
+}
+
+/* Write one verdict per candidate to verdicts[0..count): CONFIRM_PROPER
+ * when the candidate has exactly one completion, it is `digits` and it
+ * passes completion_ok, CONFIRM_AMBIGUOUS when its two saved completions pass completion_ok and
+ * differ, CONFIRM_UNSAFE otherwise.  `cells` holds count * k cell indices,
+ * k per candidate; mirrors _pykernels.confirm.  Returns MC_OK, or
+ * MC_BAD_ARGUMENT for an unsupported shape, k < 1, a digit outside 1..n or
+ * a cell index outside the board (checked before any verdict). */
+int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
+               const u8 *cells, u8 *verdicts)
+{
+    Geo geo;
+    u8 clues[MAX_CELLS];
+    u8 out[2 * MAX_CELLS];
+    size_t total = (size_t)count * (size_t)(k > 0 ? k : 0);
+    if (!build_geo(&geo, box_rows, box_cols) || k < 1 || count < 0)
+        return MC_BAD_ARGUMENT;
+    for (int c = 0; c < geo.ncells; ++c)
+        if (digits[c] < 1 || digits[c] > geo.n)
+            return MC_BAD_ARGUMENT;
+    for (size_t i = 0; i < total; ++i)
+        if (cells[i] >= geo.ncells)
+            return MC_BAD_ARGUMENT;
+    for (int i = 0; i < count; ++i) {
+        const u8 *cand = cells + (size_t)i * k;
+        Board board;
+        int saved = 0, found;
+        u8 verdict = CONFIRM_UNSAFE;
+        memset(clues, 0, geo.ncells);
+        for (int j = 0; j < k; ++j)
+            clues[cand[j]] = digits[cand[j]];
+        board_init(&geo, &board, clues);
+        found = solve_rec(&geo, &board, 2, &saved, out);
+        if (found == 1) {
+            if (memcmp(out, digits, geo.ncells) == 0 && completion_ok(&geo, out, clues))
+                verdict = CONFIRM_PROPER;
+        } else if (found == 2) {
+            const u8 *second = out + geo.ncells;
+            if (memcmp(out, second, geo.ncells) != 0 && completion_ok(&geo, out, clues)
+                && completion_ok(&geo, second, clues))
+                verdict = CONFIRM_AMBIGUOUS;
+        }
+        verdicts[i] = verdict;
+    }
+    return MC_OK;
 }
 
 /* ------------------------------------------------------------------------

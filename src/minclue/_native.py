@@ -1,6 +1,6 @@
 """Native kernels: the C core in `_ckernels.c`, loaded through ctypes.
 
-The three entry points take the same arguments and return the same results
+The four entry points take the same arguments and return the same results
 as those of `_pykernels`, which is the reference.  Importing this module
 loads the shared library from `__pycache__/`, compiling it there with gcc
 first when no build of the current source exists (see `_cbuild`).  Import
@@ -48,6 +48,8 @@ def _open_library() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     lib.mc_solve_limit.argtypes = (c_int, c_int, c_char_p, c_int, c_char_p)
     lib.mc_solve_limit.restype = c_int
+    lib.mc_confirm.argtypes = (c_int, c_int, c_char_p, c_int, c_int, c_char_p, c_char_p)
+    lib.mc_confirm.restype = c_int
     lib.mc_enumerate_diffs.argtypes = (
         c_int, c_int, c_char_p, c_uint64, c_uint64, c_int, c_int, _EMIT,
     )
@@ -94,7 +96,9 @@ def _check(status: int, errors: list) -> None:
     if status == _NO_MEMORY:
         raise MemoryError("native kernels out of memory")
     if status == _BAD_ARGUMENT:
-        raise ValueError("board size, universe, k or a set mask out of range")
+        raise ValueError(
+            "board size, universe, k, a digit, a cell or a set mask out of range"
+        )
 
 
 def _mask(data: bytes) -> int:
@@ -113,6 +117,23 @@ def solve_limit(box_rows: int, box_cols: int, cells, limit: int):
     first = tuple(raw[:ncells]) if count >= 1 else None
     second = tuple(raw[ncells : 2 * ncells]) if count >= 2 else None
     return count, first, second
+
+
+def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
+    """One verdict byte per candidate of `k` cells in `cells`; see
+    _pykernels.confirm for the contract."""
+    ncells = (box_rows * box_cols) ** 2
+    if len(digits) != ncells:
+        raise ValueError(f"expected {ncells} digits")
+    if k < 1 or len(cells) % k:
+        raise ValueError("cells must hold whole candidates of k >= 1 cells")
+    count = len(cells) // k
+    verdicts = ctypes.create_string_buffer(count)
+    status = _lib.mc_confirm(
+        box_rows, box_cols, bytes(digits), k, count, bytes(cells), verdicts
+    )
+    _check(status, [])
+    return verdicts.raw
 
 
 def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,

@@ -1,8 +1,8 @@
-"""Pure-Python kernels: solver core, alternate-completion enumerator and
-the hitting-set engine.
+"""Pure-Python kernels: solver core, batch confirmation of candidate clue
+sets, alternate-completion enumerator and the hitting-set engine.
 
 This is the reference backend; `_native` (C, via ctypes) implements the same
-three entry points with identical semantics and emission order.  Bit rows
+four entry points with identical semantics and emission order.  Bit rows
 are Python ints here, so widths are unbounded.
 """
 
@@ -224,6 +224,69 @@ def solve_limit(box_rows: int, box_cols: int, cells, limit: int):
     first = found[0] if found else None
     second = found[1] if len(found) > 1 else None
     return count, first, second
+
+
+# ---------------------------------------------------------------------------
+# batch confirmation of candidate clue sets
+
+# confirm verdict codes shared with the compiled backend
+CONFIRM_AMBIGUOUS = 0
+CONFIRM_PROPER = 1
+CONFIRM_UNSAFE = 2
+
+
+def _completion_ok(units, n: int, completion, clues) -> bool:
+    """True iff every unit of `completion` is a permutation of 1..n and
+    the completion extends `clues`; independent of the solver's
+    propagation."""
+    full = set(range(1, n + 1))
+    if any({completion[c] for c in unit} != full for unit in units):
+        return False
+    return all(not d or completion[c] == d for c, d in enumerate(clues))
+
+
+def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
+    """One verdict byte per candidate clue set of the grid `digits`.
+
+    `cells` concatenates the candidates, `k` cell indices each.  A
+    candidate is CONFIRM_PROPER when it has exactly one completion, that
+    completion is the grid and it passes `_completion_ok`;
+    CONFIRM_AMBIGUOUS when the solver finds two completions that both pass
+    `_completion_ok` and differ; and
+    CONFIRM_UNSAFE otherwise (no completion, an invalid completion, two
+    equal ones): a verdict the double-check could not trust.  Raises
+    ValueError for a digit count other than n*n, a digit outside 1..n, a
+    cell index outside the board or a `cells` length that is not a
+    multiple of k.
+    """
+    geo = _geometry(box_rows, box_cols)
+    n, ncells, _row_of, _col_of, _box_of, units = geo
+    if len(digits) != ncells or any(not 1 <= d <= n for d in digits):
+        raise ValueError(f"expected {ncells} digits in 1..{n}")
+    if k < 1 or len(cells) % k:
+        raise ValueError("cells must hold whole candidates of k >= 1 cells")
+    if any(not 0 <= c < ncells for c in cells):
+        raise ValueError("cell index outside the board")
+    digits = tuple(digits)
+    verdicts = bytearray()
+    for start in range(0, len(cells), k):
+        clues = [0] * ncells
+        for c in cells[start : start + k]:
+            clues[c] = digits[c]
+        count, first, second = solve_limit(box_rows, box_cols, clues, 2)
+        verdict = CONFIRM_UNSAFE
+        if count == 1:
+            if first == digits and _completion_ok(units, n, first, clues):
+                verdict = CONFIRM_PROPER
+        elif count == 2:
+            if (
+                first != second
+                and _completion_ok(units, n, first, clues)
+                and _completion_ok(units, n, second, clues)
+            ):
+                verdict = CONFIRM_AMBIGUOUS
+        verdicts.append(verdict)
+    return bytes(verdicts)
 
 
 # ---------------------------------------------------------------------------

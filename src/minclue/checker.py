@@ -1,6 +1,15 @@
 """Per-grid search pipeline: build the unavoidable-set families, enumerate
 candidate k-clue puzzles as hitting sets, and confirm properness with the
-solver.
+kernels' batch entry `confirm`.
+
+The engine's sink only appends each candidate's cells to a buffer; every
+CONFIRM_BATCH candidates, and once at the end, one `confirm` call solves
+the whole batch and double-checks each verdict (a unique completion must be
+the grid; two completions must be valid, extend the clues and differ).
+Proper puzzles are kept in emission order.  A candidate whose verdict the
+double-check rejects is a safety failure: it is counted, never reported as
+proper, and re-run through `count_completions` and
+`verify_two_completions` for the logged diagnosis.
 
 Correctness does not depend on how many unavoidable sets are used: any
 subfamily yields a superset of candidates and the solver keeps exactly the
@@ -15,7 +24,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .errors import GridFormatError
+from ._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER
+from .backend import kernels
+from .errors import GridFormatError, InconsistentCluesError
 from .grid import CellSet, Grid, GridShape, parse_grid
 from .hitting import EngineConfig, HittingInstance, enumerate_hitting_sets
 from .solver import count_completions, verify_two_completions
@@ -32,6 +43,8 @@ CHECKER_VERSION = "1"
 
 _DEFAULT_MAX_SET_SIZE = {16: 8, 36: 10, 81: 12}
 DEFAULT_CLIQUE_CAPS = {2: 8192, 3: 16384, 4: 32768, 5: 32768, 6: 16384}
+# candidates confirmed per kernel call; bounds the pending buffer
+CONFIRM_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -145,39 +158,41 @@ def search_grid(
 
     instance = HittingInstance(shape.cell_count, k, families)
 
-    digits = grid.digits
+    digits = bytes(grid.digits)
     proper: List[CellSet] = []
     candidates = 0
+    pending = bytearray()
 
-    def check_candidate(cells: Tuple[int, ...]) -> None:
+    def confirm_pending() -> None:
         nonlocal candidates, safety_failures
-        candidates += 1
-        clue_mask = 0
-        for c in cells:
-            clue_mask |= 1 << c
-        puzzle_cells = tuple(
-            d if (clue_mask >> c) & 1 else 0 for c, d in enumerate(digits)
-        )
-        outcome = count_completions(shape, puzzle_cells, 2)
-        if outcome.count == 1:
-            if outcome.completions[0].digits != digits:
+        verdicts = kernels.confirm(shape.box_rows, shape.box_cols, digits, k, pending)
+        for i, verdict in enumerate(verdicts):
+            if verdict == CONFIRM_AMBIGUOUS:
+                continue
+            cells = pending[i * k : (i + 1) * k]
+            if verdict == CONFIRM_PROPER:
+                mask = 0
+                for c in cells:
+                    mask |= 1 << c
+                proper.append(CellSet(shape, mask))
+            else:
                 safety_failures += 1
                 logger.error(
-                    "grid %s: unique completion of %s differs from the grid",
+                    "grid %s: candidate %s failed confirmation: %s",
                     grid,
-                    cells,
+                    tuple(cells),
+                    _diagnose(grid, cells),
                 )
-                return
-            proper.append(CellSet(shape, clue_mask))
-        elif not verify_two_completions(shape, puzzle_cells, outcome):
-            safety_failures += 1
-            logger.error(
-                "grid %s: solver double-check failed on candidate %s",
-                grid,
-                cells,
-            )
+        candidates += len(verdicts)
+        pending.clear()
 
-    enumerate_hitting_sets(instance, config.engine, check_candidate)
+    def collect(cells: Tuple[int, ...]) -> None:
+        pending.extend(cells)
+        if len(pending) >= CONFIRM_BATCH * k:
+            confirm_pending()
+
+    enumerate_hitting_sets(instance, config.engine, collect)
+    confirm_pending()
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return GridSearchReport(
@@ -190,6 +205,23 @@ def search_grid(
         elapsed_ms=elapsed_ms,
         safety_failures=safety_failures,
     )
+
+
+def _diagnose(grid: Grid, cells) -> str:
+    """Why a candidate failed confirmation, from a re-run through the
+    solver and its Python double-check."""
+    clues = set(cells)
+    puzzle = [d if c in clues else 0 for c, d in enumerate(grid.digits)]
+    try:
+        outcome = count_completions(grid.shape, puzzle, 2)
+    except InconsistentCluesError:
+        return "its clues repeat a digit inside a unit"
+    if outcome.count == 1:
+        if outcome.completions[0].digits != grid.digits:
+            return "its unique completion differs from the grid"
+    elif not verify_two_completions(grid.shape, puzzle, outcome):
+        return f"the solver double-check failed ({outcome.count} completions)"
+    return "a re-run through the solver found nothing wrong"
 
 
 def search_catalog(
@@ -222,14 +254,21 @@ def search_catalog(
 # ---------------------------------------------------------------------------
 # report text format
 
+# block line carrying a report's safety-failure count; indented like the
+# puzzle lines, so a farm output keeps it inside its report block
+_SAFETY_TAG = "\t!safety "
+
 def format_report(report: ReportOrError) -> str:
-    """Tab-separated main line, then one indented line per proper puzzle."""
+    """Tab-separated main line, then `\t!safety N` when the search had
+    N > 0 safety failures, then one indented line per proper puzzle."""
     if isinstance(report, GridSearchError):
         return f"!error\t{report.line_no}\t{report.message}"
     lines = [
         f"{report.grid}\t{report.k}\t{report.minimal_sets_found}"
         f"\t{report.candidates}\t{report.proper_found}\t{report.elapsed_ms}"
     ]
+    if report.safety_failures:
+        lines.append(f"{_SAFETY_TAG}{report.safety_failures}")
     for puzzle in report.proper_puzzles:
         lines.append("\t" + ",".join(str(c) for c in puzzle))
     return "\n".join(lines)
@@ -248,7 +287,11 @@ def parse_report(block: str) -> ReportOrError:
     grid_text, k, minimal, cand, proper, ms = head
     grid = parse_grid(grid_text)
     puzzles = []
+    safety_failures = 0
     for extra in lines[1:]:
+        if extra.startswith(_SAFETY_TAG):
+            safety_failures = int(extra[len(_SAFETY_TAG) :])
+            continue
         cells = [int(tok) for tok in extra.strip().split(",") if tok]
         puzzles.append(CellSet.from_cells(grid.shape, cells))
     return GridSearchReport(
@@ -259,5 +302,5 @@ def parse_report(block: str) -> ReportOrError:
         proper_found=int(proper),
         proper_puzzles=tuple(puzzles),
         elapsed_ms=int(ms),
+        safety_failures=safety_failures,
     )
-

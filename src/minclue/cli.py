@@ -257,10 +257,13 @@ def cmd_farm(args) -> int:
         f" recorded {summary.recorded_now} pending {summary.pending_after}"
         f" elapsed {summary.elapsed_s:.1f}s"
     )
+    status = 3 if summary.safety_failures else 0
     if args.merge:
         for report in merge_outputs(args.out):
             print(format_report(report))
-    return 0
+            if getattr(report, "safety_failures", 0):
+                status = 3
+    return status
 
 
 def cmd_verify_scs(args) -> int:

@@ -4,6 +4,12 @@ limit and keeps the first two found.
 Propagation is naked singles plus hidden singles only, then guessing on a
 cell with the fewest candidates (lowest index on ties, digits ascending),
 which makes the outcome deterministic for a fixed input.
+
+This is the one-puzzle interface, with `Grid` completions and a Python
+double-check (`verify_two_completions`).  The grid search does not call it
+per candidate: it confirms candidates in batches with the kernels' `confirm`
+entry, which runs the same solver and an equivalent double-check in one
+call, and comes back here only to diagnose a candidate that failed.
 """
 
 from __future__ import annotations

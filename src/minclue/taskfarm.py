@@ -94,6 +94,7 @@ class FarmSummary:
     recorded_now: int
     pending_after: int
     elapsed_s: float
+    safety_failures: int = 0  # summed over the reports recorded by this run
 
 
 def plan_batches(n_lines: int, batch_size: int) -> List[WorkBatch]:
@@ -116,17 +117,21 @@ def _worker_cap(requested: int) -> int:
     return requested
 
 
-def _run_batch(args) -> Tuple[int, int, int, List[str]]:
+def _run_batch(args) -> Tuple[int, int, int, List[str], int]:
     """Worker entry: search one batch of grid lines; returns the frame
-    payload (one formatted report block per grid)."""
+    payload (one formatted report block per grid) and the batch's summed
+    safety failures."""
     batch_id, start, end, lines, k, config = args
     blocks: List[str] = []
+    failures = 0
 
     def sink(record: ReportOrError) -> None:
+        nonlocal failures
         blocks.append(format_report(record))
+        failures += getattr(record, "safety_failures", 0)
 
     search_catalog(lines, k, config, sink)
-    return batch_id, start, end, blocks
+    return batch_id, start, end, blocks, failures
 
 
 def run_farm(
@@ -184,6 +189,7 @@ def run_farm(
     done_before = len(cp.done)
     pending = [b for b in batches if b.batch_id not in cp.done]
     recorded = 0
+    safety_failures = 0
     workers = _worker_cap(workers)
 
     def record(batch: WorkBatch, blocks: List[str]) -> None:
@@ -229,7 +235,7 @@ def run_farm(
                     for future in done_set:
                         batch = futures.pop(future)
                         try:
-                            batch_id, _s, _e, blocks = future.result()
+                            batch_id, _s, _e, blocks, failures = future.result()
                         except BrokenProcessPool:
                             raise
                         except Exception:
@@ -242,6 +248,7 @@ def run_farm(
                                 queue.insert(0, batch)
                             continue
                         record(batch, blocks)
+                        safety_failures += failures
                         if max_batches is not None and recorded >= max_batches:
                             stopped = True
                             break
@@ -265,6 +272,7 @@ def run_farm(
         recorded_now=recorded,
         pending_after=len(batches) - len(cp.done),
         elapsed_s=time.monotonic() - started,
+        safety_failures=safety_failures,
     )
 
 

@@ -57,6 +57,31 @@ def brute_force_count(grid_shape: GridShape, cells, limit: int) -> int:
     return count
 
 
+@pytest.fixture
+def one_unsafe_candidate(monkeypatch):
+    """Make the checker's `confirm` answer CONFIRM_UNSAFE for the first
+    proper candidate it sees, in this process or in a farm worker forked
+    from it; returns the list that receives that candidate's cells."""
+    from types import SimpleNamespace
+
+    from minclue import checker
+    from minclue._pykernels import CONFIRM_PROPER, CONFIRM_UNSAFE
+
+    real = checker.kernels.confirm
+    marked = []
+
+    def confirm(box_rows, box_cols, digits, k, cells):
+        verdicts = bytearray(real(box_rows, box_cols, digits, k, cells))
+        if not marked and CONFIRM_PROPER in verdicts:
+            i = verdicts.index(CONFIRM_PROPER)
+            verdicts[i] = CONFIRM_UNSAFE
+            marked.append(tuple(cells[i * k : (i + 1) * k]))
+        return bytes(verdicts)
+
+    monkeypatch.setattr(checker, "kernels", SimpleNamespace(confirm=confirm))
+    return marked
+
+
 @pytest.fixture(scope="session")
 def reps_4x4():
     return representatives(SHAPE_4X4)

@@ -6,10 +6,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import clue_cells, random_solution_grid
+from minclue import _pykernels
+from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
 from minclue.backend import backend_name
-from minclue.grid import SHAPE_4X4, SHAPE_9X9
+from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9
+from minclue.solver import count_completions, verify_two_completions
 from minclue.hitting import EngineConfig, HittingInstance, resolve_plan
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minclue"
@@ -176,6 +181,133 @@ class TestSolverParityAcrossShapes:
                     continue
                 args = (shape.box_rows, shape.box_cols, cells, 2)
                 assert py.solve_limit(*args) == native.solve_limit(*args)
+
+
+def reference_verdict(grid, cells) -> int:
+    """The candidate's class from the solver and its Python double-check."""
+    mask = 0
+    for c in cells:
+        mask |= 1 << c
+    puzzle = clue_cells(grid, mask)
+    outcome = count_completions(grid.shape, puzzle, 2)
+    if outcome.count == 1:
+        if outcome.completions[0].digits == grid.digits:
+            return CONFIRM_PROPER
+        return CONFIRM_UNSAFE
+    if verify_two_completions(grid.shape, puzzle, outcome):
+        return CONFIRM_AMBIGUOUS
+    return CONFIRM_UNSAFE
+
+
+def greedy_proper(grid, rng):
+    """A proper puzzle of `grid`: drop clues in random order while the
+    puzzle stays unique."""
+    kept = set(range(grid.shape.cell_count))
+    for c in rng.sample(sorted(kept), len(kept)):
+        trial = kept - {c}
+        mask = sum(1 << x for x in trial)
+        if count_completions(grid.shape, clue_cells(grid, mask), 2).count == 1:
+            kept = trial
+    return sorted(kept)
+
+
+def confirm_args(grid, k, cells):
+    shape = grid.shape
+    return shape.box_rows, shape.box_cols, bytes(grid.digits), k, bytes(cells)
+
+
+# rows and columns are permutations, the top-left box is not
+LATIN_4X4 = (1, 2, 3, 4, 2, 3, 4, 1, 3, 4, 1, 2, 4, 1, 2, 3)
+
+
+class TestConfirm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from((SHAPE_4X4, SHAPE_6X6, SHAPE_9X9)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_parity_and_reference(self, backends, shape, seed, data):
+        rng = random.Random(seed)
+        grid = random_solution_grid(shape, rng)
+        ncells = shape.cell_count
+        k = data.draw(st.integers(1, ncells), label="k")
+        candidates = [
+            sorted(rng.sample(range(ncells), k))
+            for _ in range(data.draw(st.integers(0, 6), label="count"))
+        ]
+        if k == ncells:
+            candidates.append(list(range(ncells)))  # the full grid: proper
+        proper = greedy_proper(grid, rng)
+        cells = [c for cand in candidates for c in cand]
+        expected = [reference_verdict(grid, cand) for cand in candidates]
+        for name, kernels in backends.items():
+            got = kernels.confirm(*confirm_args(grid, k, cells))
+            assert list(got) == expected, name
+            one = kernels.confirm(*confirm_args(grid, len(proper), proper))
+            assert one == bytes([CONFIRM_PROPER]), name
+
+    def test_repeated_cells_count_once(self, backends):
+        grid = random_solution_grid(SHAPE_4X4, random.Random(3))
+        proper = greedy_proper(grid, random.Random(4))
+        k = len(proper)
+        cells = proper + [proper[0]] * k  # the second candidate is one clue
+        for name, kernels in backends.items():
+            verdicts = kernels.confirm(*confirm_args(grid, k, cells))
+            assert verdicts == bytes([CONFIRM_PROPER, CONFIRM_AMBIGUOUS]), name
+
+    def test_no_candidates(self, backends):
+        grid = random_solution_grid(SHAPE_4X4, random.Random(5))
+        for kernels in backends.values():
+            assert kernels.confirm(*confirm_args(grid, 4, [])) == b""
+
+    def test_bad_arguments_raise(self, backends):
+        grid = random_solution_grid(SHAPE_4X4, random.Random(6))
+        digits = bytes(grid.digits)
+        for name, kernels in backends.items():
+            for args in (
+                (2, 2, digits, 1, bytes([16])),  # cell outside the board
+                (2, 2, digits, 2, bytes([0, 1, 200, 3])),
+                (2, 2, digits, 2, bytes([0, 1, 2])),  # not whole candidates
+                (2, 2, digits, 0, b""),
+                (2, 2, bytes([5]) + digits[1:], 1, bytes([0])),  # digit > n
+                (2, 2, digits[:-1], 1, bytes([0])),
+            ):
+                with pytest.raises(ValueError):
+                    kernels.confirm(*args)
+
+    def test_invalid_grid_is_unsafe(self, backends):
+        """A full clue set of a Latin square that breaks a box: its only
+        completion is itself, which the unit check must reject."""
+        for name, kernels in backends.items():
+            got = kernels.confirm(2, 2, bytes(LATIN_4X4), 16, bytes(range(16)))
+            assert got == bytes([CONFIRM_UNSAFE]), name
+
+    @pytest.mark.parametrize("corruption", ["invalid", "off_clues", "equal"])
+    def test_corrupted_second_completion_is_unsafe(self, monkeypatch, corruption):
+        grid = random_solution_grid(SHAPE_4X4, random.Random(7))
+        k = 4
+        cells = list(range(k))  # one row: many completions
+        real = _pykernels.solve_limit
+        assert _pykernels.confirm(*confirm_args(grid, k, cells)) == bytes(
+            [CONFIRM_AMBIGUOUS]
+        )
+
+        def corrupted(box_rows, box_cols, clues, limit):
+            count, first, second = real(box_rows, box_cols, clues, limit)
+            second = list(second)
+            if corruption == "invalid":
+                second[15] = second[14]  # repeats a digit in the last row
+            elif corruption == "off_clues":
+                # a valid grid (digits relabelled) that misses the clues
+                second = [d % 4 + 1 for d in second]
+            else:
+                second = list(first)
+            return count, first, tuple(second)
+
+        monkeypatch.setattr(_pykernels, "solve_limit", corrupted)
+        got = _pykernels.confirm(*confirm_args(grid, k, cells))
+        assert got == bytes([CONFIRM_UNSAFE])
 
 
 class TestBenchmarks:

@@ -1,3 +1,4 @@
+import logging
 import random
 from dataclasses import replace
 from itertools import combinations
@@ -154,6 +155,17 @@ class TestReportFormat:
             tuple(p) for p in report.proper_puzzles
         ]
 
+    def test_safety_line_round_trip(self, reps_4x4):
+        report = replace(search_grid(reps_4x4[0], 4), safety_failures=2)
+        text = format_report(report)
+        assert text.splitlines()[1] == "\t!safety 2"
+        assert parse_report(text) == report
+
+    def test_clean_report_has_no_safety_line(self, reps_4x4):
+        report = search_grid(reps_4x4[0], 4)
+        assert "!safety" not in format_report(report)
+        assert parse_report(format_report(report)).safety_failures == 0
+
     def test_error_record_round_trip(self):
         err = GridSearchError(3, "wrong length")
         assert parse_report(format_report(err)) == err
@@ -178,3 +190,29 @@ class TestReportFormat:
 class TestSafetyPath:
     def test_clean_grid_reports_zero_failures(self, reps_4x4):
         assert search_grid(reps_4x4[0], 4).safety_failures == 0
+
+    def test_unsafe_candidate_is_counted_logged_and_dropped(
+        self, reps_4x4, one_unsafe_candidate, monkeypatch, caplog
+    ):
+        with caplog.at_level(logging.ERROR, logger="minclue.checker"):
+            report = search_grid(reps_4x4[1], 4)
+        monkeypatch.undo()
+        clean = search_grid(reps_4x4[1], 4)
+        (cells,) = one_unsafe_candidate
+        mask = sum(1 << c for c in cells)
+        assert report.safety_failures == 1
+        assert mask in {p.mask for p in clean.proper_puzzles}
+        assert mask not in {p.mask for p in report.proper_puzzles}
+        assert report.proper_found == clean.proper_found - 1
+        assert report.candidates == clean.candidates
+        assert str(cells) in caplog.text
+        assert "found nothing wrong" in caplog.text
+
+    def test_later_batches_are_confirmed_too(self, reps_4x4, monkeypatch):
+        """Batches of one candidate give the same report as one batch."""
+        from minclue import checker
+
+        whole = search_grid(reps_4x4[1], 4)
+        monkeypatch.setattr(checker, "CONFIRM_BATCH", 1)
+        split = search_grid(reps_4x4[1], 4)
+        assert replace(split, elapsed_ms=0) == replace(whole, elapsed_ms=0)

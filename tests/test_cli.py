@@ -142,6 +142,13 @@ class TestHitsetCli:
 
 
 class TestSearchCli:
+    def test_safety_failure_exits_3(self, tmp_path, one_unsafe_candidate):
+        path = tmp_path / "grids.txt"
+        path.write_text("1234341221434321\n")
+        code, out, _ = run_cli(["search", str(path), "--k", "4"])
+        assert code == 3
+        assert "\t!safety 1" in out.splitlines()
+
     def test_header_and_report(self, tmp_path):
         path = tmp_path / "grids.txt"
         path.write_text("1234341221434321\n")
@@ -267,6 +274,27 @@ class TestFarmCli:
             "--checkpoint", str(tmp_path / "cp.txt"),
             "--out", str(tmp_path / "out.txt"), *extra,
         ]
+
+    def test_recorded_safety_failure_exits_3(self, tmp_path, one_unsafe_candidate):
+        """The patched `confirm` reaches the forked farm worker."""
+        argv = self.farm_argv(tmp_path, "--batch", "1", "--workers", "1")
+        argv[argv.index("--k") + 1] = "4"
+        code, _, _ = run_cli(argv)
+        assert code == 3
+        assert "\t!safety 1\n" in (tmp_path / "out.txt").read_text()
+
+    def test_merged_safety_failure_exits_3(self, tmp_path):
+        argv = self.farm_argv(tmp_path, "--batch", "1", "--merge")
+        assert run_cli(argv)[0] == 0
+        out = tmp_path / "out.txt"
+        text = out.read_text()
+        first = next(ln for ln in text.splitlines() if ln.startswith("batch "))
+        head = text.splitlines()[text.splitlines().index(first) + 1]
+        out.write_text(text.replace(head + "\n", head + "\n\t!safety 2\n", 1))
+        code, stdout, _ = run_cli(argv)
+        assert code == 3
+        assert "recorded 0" in stdout
+        assert "\t!safety 2" in stdout.splitlines()
 
     def test_config_k_must_match(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -105,10 +105,23 @@ class TestRunFarm:
         assert summary.batches_total == 2
         assert summary.recorded_now == 2
         assert summary.pending_after == 0
+        assert summary.safety_failures == 0
         cp = Checkpoint.load(cp_path)
         assert cp.done == {0, 1}
         reports = merge_outputs(out_path)
         assert len(reports) == 50
+
+    def test_safety_failures_are_summed_and_merged(
+        self, catalogue_50, tmp_path, one_unsafe_candidate
+    ):
+        cp_path, out_path = farm_paths(tmp_path, "unsafe")
+        summary = run_farm(
+            catalogue_50, 4, workers=1, batch_size=30,
+            checkpoint_path=cp_path, output_path=out_path,
+        )
+        assert summary.safety_failures == 1
+        failing = [r for r in merge_outputs(out_path) if r.safety_failures]
+        assert [r.safety_failures for r in failing] == [1]
 
     def test_resume_against_modified_catalogue_refused(self, catalogue_50, tmp_path):
         cp_path, out_path = farm_paths(tmp_path, "digest")
