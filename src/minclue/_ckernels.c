@@ -4,7 +4,11 @@
  *
  * minclue._native loads this file through ctypes.  Semantics, emission
  * order and counters match minclue._pykernels exactly; that module is the
- * reference.  The solver supports boards up to 16x16 (256 cells); the diff
+ * reference.  One exception in order only: with max_per_digit == 2 the
+ * diff enumerator does not search the blanked board like the reference.
+ * Every blanked digit must then move by a rectangle swap (see rect_swaps),
+ * so it emits the same multiset of masks by combining swaps, in another
+ * order.  The solver supports boards up to 16x16 (256 cells); the diff
  * enumerator and the hitting engine work on universes of up to 128 cells,
  * which covers every shape with a text format.
  *
@@ -420,11 +424,11 @@ int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
 /* ------------------------------------------------------------------------
  * alternate-completion enumeration */
 
-static int emit_diff(const DiffCtx *ctx, mc_emit_fn emit)
+static int emit_mask(u64 lo, u64 hi, mc_emit_fn emit)
 {
     u8 buf[16];
-    store_le64(buf, ctx->mask_lo);
-    store_le64(buf + 8, ctx->mask_hi);
+    store_le64(buf, lo);
+    store_le64(buf + 8, hi);
     return emit(buf, 16) ? MC_ABORTED : MC_OK;
 }
 
@@ -436,7 +440,8 @@ static int diff_rec(const Geo *geo, Board *b, DiffCtx *ctx, mc_emit_fn emit)
     if (blanks < 0)
         return MC_OK;
     if (blanks == 0)
-        return (ctx->mask_lo || ctx->mask_hi) ? emit_diff(ctx, emit) : MC_OK;
+        return (ctx->mask_lo || ctx->mask_hi) ? emit_mask(ctx->mask_lo, ctx->mask_hi, emit)
+                                               : MC_OK;
     c = pick_branch_cell(geo, b);
     cand = candidates(geo, b, c);
     while (cand) {
@@ -452,10 +457,135 @@ static int diff_rec(const Geo *geo, Board *b, DiffCtx *ctx, mc_emit_fn emit)
     return MC_OK;
 }
 
+/* Rectangle swaps: the max_per_digit == 2 case, exactly.
+ *
+ * The budget makes every blanked digit change at least twice, so with a cap
+ * of two each blanked digit d leaves exactly two of its cells, (r1,c1) and
+ * (r2,c2), and keeps every other one.  Those keep d in all rows and columns
+ * but r1, r2, c1, c2, so d moves to (r1,c2) and (r2,c1): a rectangle swap.
+ * It keeps d once per box iff r1, r2 share a band or c1, c2 share a stack,
+ * and it is possible only when all four cells are blank.  A completion is
+ * then one swap per blanked digit whose filled cells are exactly the
+ * vacated cells; every completion is one such choice, and each choice is
+ * one completion, so this emits the same masks as diff_rec (in another
+ * order) without searching the board. */
+
+enum { RECT_MAX_SWAPS = MAX_N * (MAX_N - 1) / 2 };
+
+typedef struct {
+    u64 vac[2];   /* the two cells the digit leaves */
+    u64 fill[2];  /* the two cells it moves to */
+} Swap;
+
+typedef struct {
+    int ndigits;                 /* blanked digits, in ascending order */
+    u64 cells[MAX_N][2];         /* every cell of the i-th blanked digit */
+    int nswaps[MAX_N];
+    Swap swaps[MAX_N][RECT_MAX_SWAPS];
+    mc_emit_fn emit;
+} RectCtx;
+
+static void set_cell(u64 *mask, int c)
+{
+    mask[c >> 6] |= (u64)1 << (c & 63);
+}
+
+/* Pick a swap for blanked digit i onward.  filled/vacated hold the cells
+ * of the swaps chosen so far, placed the cells of digits 0..i-1.  A swap is
+ * kept when its filled cells are free and when afterwards every filled
+ * cell of a placed digit is one that digit vacated; at the last digit every
+ * filled cell is such a cell, and filled and vacated both hold 2*ndigits
+ * cells, so they are equal. */
+static int rect_rec(const RectCtx *rc, int i, const u64 *filled,
+                    const u64 *vacated, const u64 *placed)
+{
+    u64 p[2];
+    if (i == rc->ndigits)
+        return emit_mask(vacated[0], vacated[1], rc->emit);
+    p[0] = placed[0] | rc->cells[i][0];
+    p[1] = placed[1] | rc->cells[i][1];
+    for (int s = 0; s < rc->nswaps[i]; ++s) {
+        const Swap *sw = &rc->swaps[i][s];
+        u64 f[2], v[2];
+        int ok = 1;
+        for (int w = 0; w < 2; ++w) {
+            f[w] = filled[w] | sw->fill[w];
+            v[w] = vacated[w] | sw->vac[w];
+            if ((filled[w] & sw->fill[w]) || (f[w] & p[w] & ~v[w]))
+                ok = 0;
+        }
+        if (ok && rect_rec(rc, i + 1, f, v, p))
+            return MC_ABORTED;
+    }
+    return MC_OK;
+}
+
+static int rect_swaps(const Geo *geo, int box_rows, int box_cols,
+                      const u8 *solution, const u64 *blank, int max_diff,
+                      mc_emit_fn emit)
+{
+    int n = geo->n;
+    int col_in_row[MAX_N + 1][MAX_N];
+    int blanked[MAX_N + 1] = {0};
+    u64 none[2] = {0, 0};
+    RectCtx *rc;
+    int status;
+    memset(col_in_row, -1, sizeof col_in_row);
+    for (int c = 0; c < geo->ncells; ++c) {
+        col_in_row[solution[c]][geo->row_of[c]] = geo->col_of[c];
+        if (mask_bit(blank[0], blank[1], c))
+            blanked[solution[c]] = 1;
+    }
+    for (int d = 1; d <= n; ++d)
+        for (int r = 0; r < n; ++r)
+            if (col_in_row[d][r] < 0)
+                return MC_BAD_ARGUMENT; /* d misses row r: not a grid */
+    rc = calloc(1, sizeof(RectCtx));
+    if (rc == NULL)
+        return MC_NO_MEMORY;
+    rc->emit = emit;
+    for (int d = 1; d <= n; ++d) {
+        int i;
+        if (!blanked[d])
+            continue;
+        i = rc->ndigits++;
+        for (int r = 0; r < n; ++r)
+            set_cell(rc->cells[i], r * n + col_in_row[d][r]);
+        for (int r1 = 0; r1 < n; ++r1) {
+            for (int r2 = r1 + 1; r2 < n; ++r2) {
+                int c1 = col_in_row[d][r1], c2 = col_in_row[d][r2];
+                int corners[4] = {r1 * n + c1, r2 * n + c2, r1 * n + c2, r2 * n + c1};
+                Swap *sw;
+                int all_blank = 1;
+                if (r1 / box_rows != r2 / box_rows && c1 / box_cols != c2 / box_cols)
+                    continue;
+                for (int j = 0; j < 4; ++j)
+                    all_blank &= mask_bit(blank[0], blank[1], corners[j]);
+                if (!all_blank)
+                    continue;
+                sw = &rc->swaps[i][rc->nswaps[i]++];
+                set_cell(sw->vac, corners[0]);
+                set_cell(sw->vac, corners[1]);
+                set_cell(sw->fill, corners[2]);
+                set_cell(sw->fill, corners[3]);
+            }
+        }
+    }
+    status = MC_OK;
+    if (rc->ndigits > 0 && 2 * rc->ndigits <= max_diff)
+        status = rect_rec(rc, 0, none, none, none);
+    free(rc);
+    return status;
+}
+
 /* Emit, as 16-byte little-endian cell masks, the cells where bounded
  * alternate completions of `solution` (blank cells given by the mask
  * blank_lo | blank_hi << 64) differ from it; see
- * _pykernels.enumerate_diffs for the contract. */
+ * _pykernels.enumerate_diffs for the contract.  max_per_digit == 2 goes to
+ * rect_swaps, every other budget to the blanked-board search below.
+ * Returns MC_BAD_ARGUMENT for an unsupported shape, a digit of `solution`
+ * outside 1..n or, on the rectangle path, a row of `solution` that misses a
+ * digit. */
 int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
                        u64 blank_lo, u64 blank_hi, int max_diff,
                        int max_per_digit, mc_emit_fn emit)
@@ -468,6 +598,13 @@ int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
     if (!build_geo(&geo, box_rows, box_cols) || geo.ncells > MAX_UNIVERSE)
         return MC_BAD_ARGUMENT;
     n = geo.n;
+    for (int c = 0; c < geo.ncells; ++c)
+        if (solution[c] < 1 || solution[c] > n)
+            return MC_BAD_ARGUMENT;
+    if (max_per_digit == 2) {
+        u64 blank[2] = {blank_lo, blank_hi};
+        return rect_swaps(&geo, box_rows, box_cols, solution, blank, max_diff, emit);
+    }
     memset(&proto, 0, sizeof(DiffCtx));
     proto.max_diff = max_diff;
     proto.max_per_digit = max_per_digit;

@@ -1,7 +1,8 @@
 """Native kernels: the C core in `_ckernels.c`, loaded through ctypes.
 
-The four entry points take the same arguments and return the same results
-as those of `_pykernels`, which is the reference.  Importing this module
+The entry points take the same arguments and return the same results as
+those of `_pykernels`, which is the reference (`enumerate_diffs` the same
+multiset of masks, in unspecified order).  Importing this module
 loads the shared library from `__pycache__/`, compiling it there with gcc
 first when no build of the current source exists (see `_cbuild`).  Import
 raises ImportError when the library is unavailable: silently when there is
@@ -139,7 +140,10 @@ def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
 def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
                     max_diff: int, max_per_digit: int):
     """Masks of cells where bounded alternate completions differ from
-    `solution`; see the reference backend for the full contract."""
+    `solution`; see the reference backend for the full contract.  The
+    masks are a multiset in unspecified order: with max_per_digit == 2
+    the C side combines rectangle swaps instead of searching the board,
+    which yields the reference's masks in another order."""
     ncells = (box_rows * box_cols) ** 2
     if len(solution) != ncells:
         raise ValueError(f"expected {ncells} cells")

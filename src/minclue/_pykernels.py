@@ -2,8 +2,9 @@
 sets, alternate-completion enumerator and the hitting-set engine.
 
 This is the reference backend; `_native` (C, via ctypes) implements the same
-four entry points with identical semantics and emission order.  Bit rows
-are Python ints here, so widths are unbounded.
+four entry points with identical semantics and emission order, except
+that `enumerate_diffs` may list its masks in another order.  Bit rows are
+Python ints here, so widths are unbounded.
 """
 
 from __future__ import annotations
@@ -469,7 +470,9 @@ def enumerate_diffs(
 
     The enumeration splits on the smallest changed cell: blanks below it
     are pinned to the reference digits, so each completion is reached
-    exactly once and most of the board is forced early.
+    exactly once and most of the board is forced early.  The result is a
+    multiset in unspecified order, one mask per completion (two completions
+    may share a mask); backends may list it in different orders.
     """
     geo = _geometry(box_rows, box_cols)
     ref = tuple(solution)

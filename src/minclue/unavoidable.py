@@ -11,6 +11,14 @@ every minimal set of size <= max_size (which involves at most max_size/2
 distinct digits, each appearing at least twice) is witnessed under its own
 digit set.  Subset-minimality filtering across the candidates then yields
 exactly the minimal sets.
+
+The largest digit-subset size, max_size/2 digits when max_size is even,
+allows each digit exactly two changes.  A digit that changes in exactly two
+cells, (r1,c1) and (r2,c2), keeps its other places, so it moves to (r1,c2)
+and (r2,c1): a rectangle swap, legal only when r1, r2 share a band or c1,
+c2 share a stack.  The native kernel enumerates that layer by combining one
+swap per digit instead of searching the blanked board, with the same
+results; `find_minimal_unavoidable` makes the same call for every layer.
 """
 
 from __future__ import annotations
@@ -18,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ._pykernels import CONFIRM_AMBIGUOUS
 from .backend import kernels
 from .errors import BudgetExceededError
 from .grid import CellSet, Grid
@@ -142,12 +151,30 @@ def find_minimal_unavoidable(grid: Grid, max_size: int = 12) -> UnavoidableFamil
 
 
 def recheck_family(grid: Grid, family: UnavoidableFamily) -> int:
-    """Re-test every set of a degree-1 family by running its complement
-    through the solver; return the number of failures (0 when healthy)."""
+    """Re-test every set of a degree-1 family by solving its complement;
+    return the number of failures (0 when healthy).
+
+    The complements are confirmed in one `kernels.confirm` call per
+    complement size, and a set passes only on CONFIRM_AMBIGUOUS: two
+    completions, both checked valid and different.  A set covering the
+    whole grid has no clues left to confirm and goes through
+    `is_unavoidable`.
+    """
+    shape = grid.shape
+    by_size: Dict[int, bytearray] = {}
     failures = 0
     for s in family.sets:
-        if not is_unavoidable(grid, s.cells):
-            failures += 1
+        if s.cells.shape != shape:
+            raise ValueError("cell set shape differs from grid shape")
+        clues = s.cells.complement()
+        if not clues:
+            failures += not is_unavoidable(grid, s.cells)
+        else:
+            by_size.setdefault(len(clues), bytearray()).extend(clues)
+    digits = bytes(grid.digits)
+    for k, cells in by_size.items():
+        verdicts = kernels.confirm(shape.box_rows, shape.box_cols, digits, k, cells)
+        failures += sum(v != CONFIRM_AMBIGUOUS for v in verdicts)
     return failures
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clue_cells, random_solution_grid
-from minclue import _pykernels
+from minclue import _pykernels, unavoidable
 from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
 from minclue.backend import backend_name
 from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9
 from minclue.solver import count_completions, verify_two_completions
 from minclue.hitting import EngineConfig, HittingInstance, resolve_plan
+from minclue.unavoidable import find_minimal_unavoidable
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "minclue"
 
@@ -113,13 +114,22 @@ class TestSinkExceptions:
     def test_diff_collector_error_reaches_the_caller(self, backends, monkeypatch):
         if "native" not in backends:
             pytest.skip("single backend")
-        native = backends["native"]
         grid = random_solution_grid(SHAPE_9X9, random.Random(3))
-        blank = 0
-        for c, d in enumerate(grid.digits):
-            if d in (1, 2, 3):
-                blank |= 1 << c
+        blank = digit_cells(grid, (1, 2, 3))
         args = (3, 3, grid.digits, blank, 12, 8)
+        self.abort_and_rerun(backends["native"], monkeypatch, args)
+
+    def test_rectangle_collector_error_reaches_the_caller(self, backends, monkeypatch):
+        """max_per_digit=2 takes the native rectangle-swap path."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        grid = random_solution_grid(SHAPE_4X4, random.Random(3))
+        blank = digit_cells(grid, (1, 2, 3, 4))
+        args = (2, 2, grid.digits, blank, 8, 2)
+        self.abort_and_rerun(backends["native"], monkeypatch, args)
+
+    @staticmethod
+    def abort_and_rerun(native, monkeypatch, args):
         expected = native.enumerate_diffs(*args)
         assert len(expected) > 3
         calls = []
@@ -130,6 +140,15 @@ class TestSinkExceptions:
         assert len(calls) == 3
         monkeypatch.undo()
         assert native.enumerate_diffs(*args) == expected
+
+
+def digit_cells(grid, digits) -> int:
+    """Mask of the cells holding any of `digits`."""
+    mask = 0
+    for c, d in enumerate(grid.digits):
+        if d in digits:
+            mask |= 1 << c
+    return mask
 
 
 class TestDiffParity:
@@ -158,6 +177,68 @@ class TestDiffParity:
                     assert sorted(py.enumerate_diffs(*args)) == sorted(
                         native.enumerate_diffs(*args)
                     )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from((SHAPE_4X4, SHAPE_6X6, SHAPE_9X9)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rectangle_swaps_match_the_reference(self, backends, shape, seed, data):
+        """max_per_digit=2: the native rectangle-swap enumerator against
+        the reference's blanked-board search, for whole digit classes and
+        randomly thinned ones, with max_diff below and at 2 per digit."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        py, native = backends["python"], backends["native"]
+        rng = random.Random(seed)
+        grid = random_solution_grid(shape, rng)
+        n, ncells = shape.side, shape.cell_count
+        digits = data.draw(
+            st.sets(st.integers(1, n), max_size=min(n, 5)), label="digits"
+        )
+        blank = digit_cells(grid, digits)
+        if data.draw(st.booleans(), label="thin"):
+            blank &= rng.getrandbits(ncells) | rng.getrandbits(ncells)
+        blanked = {d for c, d in enumerate(grid.digits) if (blank >> c) & 1}
+        for max_diff in (2 * len(blanked) - 1, 2 * len(blanked)):
+            for mask in (blank, 0):
+                args = (shape.box_rows, shape.box_cols, grid.digits, mask, max_diff, 2)
+                got = sorted(native.enumerate_diffs(*args))
+                assert got == sorted(py.enumerate_diffs(*args)), (max_diff, mask)
+                if mask == 0 or max_diff < 2 * len(blanked):
+                    assert got == []
+
+    def test_bad_solution_raises(self, backends):
+        if "native" not in backends:
+            pytest.skip("single backend")
+        native = backends["native"]
+        digits = random_solution_grid(SHAPE_4X4, random.Random(4)).digits
+        for solution, per_digit in (
+            ((0,) + digits[1:], 4),  # digit outside 1..n
+            ((0,) + digits[1:], 2),
+            ((1,) * 16, 2),  # rows that miss digits
+        ):
+            with pytest.raises(ValueError):
+                native.enumerate_diffs(2, 2, solution, 0xFFFF, 8, per_digit)
+
+
+class TestFinderParity:
+    @pytest.mark.parametrize(
+        "shape, max_size, seed", [(SHAPE_6X6, 10, 6), (SHAPE_9X9, 8, 9)]
+    )
+    def test_same_family(self, backends, monkeypatch, shape, max_size, seed):
+        """The whole finder, top rectangle-swap layer included, gives the
+        same minimal family on both backends."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        grid = random_solution_grid(shape, random.Random(seed))
+        families = {}
+        for name, kern in backends.items():
+            monkeypatch.setattr(unavoidable, "kernels", kern)
+            families[name] = find_minimal_unavoidable(grid, max_size).masks()
+        assert families["native"] == families["python"]
+        assert families["native"]
 
 
 class TestSolverParityAcrossShapes:

@@ -16,9 +16,15 @@ from minclue.checker import (
     search_catalog,
     search_grid,
 )
-from minclue.grid import SHAPE_4X4, SHAPE_9X9
+from minclue.grid import SHAPE_4X4, SHAPE_9X9, CellSet
 from minclue.solver import count_completions
 from minclue.symmetry import apply, apply_cells, random_transformation
+from minclue.unavoidable import (
+    UnavoidableFamily,
+    UnavoidableSet,
+    find_minimal_unavoidable,
+    recheck_family,
+)
 
 
 def oracle_proper_masks(grid, k):
@@ -207,6 +213,34 @@ class TestSafetyPath:
         assert report.candidates == clean.candidates
         assert str(cells) in caplog.text
         assert "found nothing wrong" in caplog.text
+
+    def test_failed_recheck_is_counted_and_logged(
+        self, reps_4x4, backends, monkeypatch, caplog
+    ):
+        """A one-cell set is not unavoidable (its complement is a proper
+        puzzle): the recheck fails it on every backend, and the search
+        counts and logs the failure.  The whole-grid set passes."""
+        from minclue import checker, unavoidable
+
+        grid = reps_4x4[1]
+        found = find_minimal_unavoidable(grid, 8)
+        family = UnavoidableFamily(
+            1,
+            (UnavoidableSet(CellSet(grid.shape, 1 << 5)),)
+            + found.sets
+            + (UnavoidableSet(CellSet.full(grid.shape)),),
+        )
+        monkeypatch.setattr(checker, "find_minimal_unavoidable", lambda g, m: family)
+        for name, kern in backends.items():
+            monkeypatch.setattr(unavoidable, "kernels", kern)
+            assert recheck_family(grid, found) == 0, name
+            assert recheck_family(grid, family) == 1, name
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="minclue.checker"):
+                report = search_grid(grid, 4)
+            assert report.safety_failures == 1, name
+            assert report.minimal_sets_found == len(family)
+            assert "1 unavoidable sets failed the solver recheck" in caplog.text
 
     def test_later_batches_are_confirmed_too(self, reps_4x4, monkeypatch):
         """Batches of one candidate give the same report as one batch."""

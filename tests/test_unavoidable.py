@@ -1,9 +1,11 @@
+import hashlib
 import random
 from itertools import combinations
 
 import pytest
 
 from conftest import brute_force_count, clue_cells, random_solution_grid
+from test_acceptance import PINNED_9X9
 from minclue.errors import BudgetExceededError
 from minclue.grid import (
     SHAPE_4X4,
@@ -185,6 +187,26 @@ class TestNineByNine:
         for grid, family in nine_families:
             for s in family.sets:
                 assert holds(grid, s.cells)
+
+    @pytest.mark.parametrize(
+        "grid_text, count, digest",
+        [
+            (PINNED_9X9[0], 289,
+             "3613a9bdb85ffd3f4fcc07243fe7a1e77add759706f5c2462c94ad4e8e319228"),
+            (PINNED_9X9[1], 294,
+             "74d8a6231d4b1dd6efe44b959c897a223f32465b367fdbfa01df909984f85808"),
+            (PINNED_9X9[2], 314,
+             "aac14d167b8f13d16188f126daefda17fc39e74a6c61dcf97eb41321c4a03e84"),
+        ],
+    )
+    def test_pinned_families(self, grid_text, count, digest, native_required):
+        """The max_size=12 families of the pinned grids, as the
+        blanked-board search found them for every digit-subset size:
+        count and sha256 of the comma-joined masks in family order."""
+        family = find_minimal_unavoidable(parse_grid(grid_text), 12)
+        text = ",".join(str(m) for m in family.masks())
+        assert len(family) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_mean_family_size_sample(self, nine_families):
         sizes = [len(family) for _grid, family in nine_families]
