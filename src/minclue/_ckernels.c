@@ -14,9 +14,17 @@
  *
  * Results stream out through one callback type, mc_emit_fn, which receives
  * a byte buffer and returns nonzero to abort: the recursion then unwinds,
- * frees what it allocated and the entry point returns MC_ABORTED.
+ * frees what it allocated and the entry point returns MC_ABORTED.  The diff
+ * enumerator passes one 16-byte mask per call; the hitting engine passes a
+ * batch of whole candidates per call, k ascending cell bytes each, in
+ * emission order.
+ *
+ * mc_confirm judges each candidate clue set by searching for one completion
+ * other than the grid, trying the grid's digit last at each branch cell;
+ * the grid must be valid, so it completes every candidate.
  */
 
+#include <limits.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -351,10 +359,9 @@ int mc_solve_limit(int box_rows, int box_cols, const u8 *cells, int limit,
 
 enum { CONFIRM_AMBIGUOUS = 0, CONFIRM_PROPER = 1, CONFIRM_UNSAFE = 2 };
 
-/* 1 when every unit of `grid` is a permutation of 1..n and `grid` extends
- * `clues` (0 for blanks).  Reads only the unit tables, none of the solver's
- * propagation state. */
-static int completion_ok(const Geo *geo, const u8 *grid, const u8 *clues)
+/* 1 when every unit of `grid` is a permutation of 1..n.  Reads only the
+ * unit tables, none of the solver's propagation state. */
+static int grid_ok(const Geo *geo, const u8 *grid)
 {
     int n = geo->n;
     unsigned int full = (1u << n) - 1;
@@ -369,52 +376,96 @@ static int completion_ok(const Geo *geo, const u8 *grid, const u8 *clues)
         if (seen != full)
             return 0;
     }
+    return 1;
+}
+
+/* 1 when `grid` passes grid_ok and extends `clues` (0 for blanks). */
+static int completion_ok(const Geo *geo, const u8 *grid, const u8 *clues)
+{
+    if (!grid_ok(geo, grid))
+        return 0;
     for (int c = 0; c < geo->ncells; ++c)
         if (clues[c] && grid[c] != clues[c])
             return 0;
     return 1;
 }
 
-/* Write one verdict per candidate to verdicts[0..count): CONFIRM_PROPER
- * when the candidate has exactly one completion, it is `digits` and it
- * passes completion_ok, CONFIRM_AMBIGUOUS when its two saved completions pass completion_ok and
- * differ, CONFIRM_UNSAFE otherwise.  `cells` holds count * k cell indices,
- * k per candidate; mirrors _pykernels.confirm.  Returns MC_OK, or
- * MC_BAD_ARGUMENT for an unsupported shape, k < 1, a digit outside 1..n or
- * a cell index outside the board (checked before any verdict). */
+/* Search the completions of b for one other than `grid`, trying grid's
+ * digit last at each branch cell.  Returns 1 with that completion in out;
+ * 0 when the search is exhausted, having set *reached when it completed
+ * to `grid` itself.  With grid's digit last, grid is the last completion
+ * the search can reach, so reaching it ends the search. */
+static int witness_rec(const Geo *geo, Board *b, const u8 *grid, int *reached,
+                       u8 *out)
+{
+    int blanks = propagate(geo, b, NULL);
+    int c;
+    unsigned int cand, own;
+    if (blanks < 0)
+        return 0;
+    if (blanks == 0) {
+        if (memcmp(b->grid, grid, geo->ncells) == 0) {
+            *reached = 1;
+            return 0;
+        }
+        memcpy(out, b->grid, geo->ncells);
+        return 1;
+    }
+    c = pick_branch_cell(geo, b);
+    cand = candidates(geo, b, c);
+    own = cand & (1u << (grid[c] - 1));
+    cand ^= own;
+    while (cand) {
+        unsigned int low = cand & (0u - cand);
+        Board nb = *b;
+        cand ^= low;
+        assign(geo, &nb, c, bit_digit(low));
+        if (witness_rec(geo, &nb, grid, reached, out))
+            return 1;
+    }
+    if (!own)
+        return 0;
+    assign(geo, b, c, grid[c]); /* the last branch: b is not needed after */
+    return witness_rec(geo, b, grid, reached, out);
+}
+
+/* Write one verdict per candidate to verdicts[0..count); mirrors
+ * _pykernels.confirm.  The search for a completion other than `digits`
+ * (witness_rec) decides it: CONFIRM_AMBIGUOUS when it returns one that
+ * differs from `digits` and passes completion_ok, CONFIRM_PROPER when it
+ * is exhausted having reached only `digits`, which passes completion_ok,
+ * and CONFIRM_UNSAFE otherwise.  `cells` holds count * k cell indices, k
+ * per candidate.  Returns MC_OK, or MC_BAD_ARGUMENT for an unsupported
+ * shape, k < 1, a `digits` that is not a valid grid or a cell index
+ * outside the board (checked before any verdict). */
 int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
                const u8 *cells, u8 *verdicts)
 {
     Geo geo;
     u8 clues[MAX_CELLS];
-    u8 out[2 * MAX_CELLS];
+    u8 out[MAX_CELLS];
     size_t total = (size_t)count * (size_t)(k > 0 ? k : 0);
     if (!build_geo(&geo, box_rows, box_cols) || k < 1 || count < 0)
         return MC_BAD_ARGUMENT;
-    for (int c = 0; c < geo.ncells; ++c)
-        if (digits[c] < 1 || digits[c] > geo.n)
-            return MC_BAD_ARGUMENT;
+    if (!grid_ok(&geo, digits))
+        return MC_BAD_ARGUMENT;
     for (size_t i = 0; i < total; ++i)
         if (cells[i] >= geo.ncells)
             return MC_BAD_ARGUMENT;
     for (int i = 0; i < count; ++i) {
         const u8 *cand = cells + (size_t)i * k;
         Board board;
-        int saved = 0, found;
+        int reached = 0;
         u8 verdict = CONFIRM_UNSAFE;
         memset(clues, 0, geo.ncells);
         for (int j = 0; j < k; ++j)
             clues[cand[j]] = digits[cand[j]];
         board_init(&geo, &board, clues);
-        found = solve_rec(&geo, &board, 2, &saved, out);
-        if (found == 1) {
-            if (memcmp(out, digits, geo.ncells) == 0 && completion_ok(&geo, out, clues))
-                verdict = CONFIRM_PROPER;
-        } else if (found == 2) {
-            const u8 *second = out + geo.ncells;
-            if (memcmp(out, second, geo.ncells) != 0 && completion_ok(&geo, out, clues)
-                && completion_ok(&geo, second, clues))
+        if (witness_rec(&geo, &board, digits, &reached, out)) {
+            if (memcmp(out, digits, geo.ncells) != 0 && completion_ok(&geo, out, clues))
                 verdict = CONFIRM_AMBIGUOUS;
+        } else if (reached && completion_ok(&geo, digits, clues)) {
+            verdict = CONFIRM_PROPER;
         }
         verdicts[i] = verdict;
     }
@@ -530,16 +581,11 @@ static int rect_swaps(const Geo *geo, int box_rows, int box_cols,
     u64 none[2] = {0, 0};
     RectCtx *rc;
     int status;
-    memset(col_in_row, -1, sizeof col_in_row);
     for (int c = 0; c < geo->ncells; ++c) {
         col_in_row[solution[c]][geo->row_of[c]] = geo->col_of[c];
         if (mask_bit(blank[0], blank[1], c))
             blanked[solution[c]] = 1;
     }
-    for (int d = 1; d <= n; ++d)
-        for (int r = 0; r < n; ++r)
-            if (col_in_row[d][r] < 0)
-                return MC_BAD_ARGUMENT; /* d misses row r: not a grid */
     rc = calloc(1, sizeof(RectCtx));
     if (rc == NULL)
         return MC_NO_MEMORY;
@@ -583,9 +629,8 @@ static int rect_swaps(const Geo *geo, int box_rows, int box_cols,
  * blank_lo | blank_hi << 64) differ from it; see
  * _pykernels.enumerate_diffs for the contract.  max_per_digit == 2 goes to
  * rect_swaps, every other budget to the blanked-board search below.
- * Returns MC_BAD_ARGUMENT for an unsupported shape, a digit of `solution`
- * outside 1..n or, on the rectangle path, a row of `solution` that misses a
- * digit. */
+ * Returns MC_BAD_ARGUMENT for an unsupported shape or a `solution` that is
+ * not a valid grid (rect_swaps reads each digit's column in every row). */
 int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
                        u64 blank_lo, u64 blank_hi, int max_diff,
                        int max_per_digit, mc_emit_fn emit)
@@ -598,9 +643,8 @@ int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
     if (!build_geo(&geo, box_rows, box_cols) || geo.ncells > MAX_UNIVERSE)
         return MC_BAD_ARGUMENT;
     n = geo.n;
-    for (int c = 0; c < geo.ncells; ++c)
-        if (solution[c] < 1 || solution[c] > n)
-            return MC_BAD_ARGUMENT;
+    if (!grid_ok(&geo, solution))
+        return MC_BAD_ARGUMENT;
     if (max_per_digit == 2) {
         u64 blank[2] = {blank_lo, blank_hi};
         return rect_swaps(&geo, box_rows, box_cols, solution, blank, max_diff, emit);
@@ -692,6 +736,9 @@ typedef struct {
     const int *mode_code;
     const int *mode_param;
     mc_emit_fn emit;
+    u8 *batch;         /* emitted candidates not yet passed to emit */
+    int batch_len;     /* bytes used in batch */
+    int batch_size;    /* bytes of a full batch: candidates per call * k */
     long long nodes;
     long long emitted;
     long long selection_cuts;
@@ -878,11 +925,12 @@ static int select_slot(Engine *eng, int level)
     return best;
 }
 
-/* Emit the cells drawn so far plus `extra`, ascending. */
+/* Append the cells drawn so far plus `extra`, ascending, to the batch;
+ * pass the batch to emit when it is full. */
 static int emit_cells(Engine *eng, const int *extra, int n_extra, int level)
 {
     int total = level + n_extra;
-    u8 buf[MAX_K];
+    u8 *buf = eng->batch + eng->batch_len;
     for (int i = 0; i < total; ++i) {
         int v = i < level ? eng->hitset[i] : extra[i - level];
         int j = i - 1;
@@ -893,7 +941,11 @@ static int emit_cells(Engine *eng, const int *extra, int n_extra, int level)
         buf[j + 1] = (u8)v;
     }
     eng->emitted += 1;
-    return eng->emit(buf, total) ? MC_ABORTED : MC_OK;
+    eng->batch_len += total;
+    if (eng->batch_len < eng->batch_size)
+        return MC_OK;
+    eng->batch_len = 0;
+    return eng->emit(eng->batch, eng->batch_size) ? MC_ABORTED : MC_OK;
 }
 
 /* Emit every completion of the drawn cells by k - level further live
@@ -1072,28 +1124,34 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * counts[di] masks of two words each (cells 0..63, then 64..127),
  * concatenated over all degrees in `masks`; check_levels[di] or -1;
  * triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
- * mode_params.  On return stats holds nodes, emitted, selection_cuts,
+ * mode_params.  Candidates go to emit in batches, k ascending cell bytes
+ * each: `batch` candidates per call, the rest in one last call (none when
+ * nothing is left).  On return stats holds nodes, emitted, selection_cuts,
  * consolidations and then the cut count per degree; cut_levels holds k+1
  * flags per degree.  Returns MC_OK, MC_ABORTED when emit asked to stop,
- * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range or a mask with
- * cells outside the universe. */
+ * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range (batch < 1
+ * included) or a mask with cells outside the universe. */
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
                    const int *counts, const u64 *masks,
                    const int *check_levels, const int *triggers,
                    const int *caps, const int *mode_codes,
-                   const int *mode_params, mc_emit_fn emit,
+                   const int *mode_params, mc_emit_fn emit, int batch,
                    long long *stats, u8 *cut_levels)
 {
     Engine *eng;
     int status = MC_OK;
     if (universe < 1 || universe > MAX_UNIVERSE || k < 1 || k > universe
-        || ndeg < 0)
+        || ndeg < 0 || batch < 1 || batch > INT_MAX / k)
         return MC_BAD_ARGUMENT;
     eng = calloc(1, sizeof(Engine));
     if (eng == NULL)
         return MC_NO_MEMORY;
+    eng->batch_size = batch * k;
     eng->deg = calloc(ndeg > 0 ? ndeg : 1, sizeof(DegState));
-    if (eng->deg == NULL) {
+    eng->batch = malloc((size_t)eng->batch_size);
+    if (eng->deg == NULL || eng->batch == NULL) {
+        free(eng->deg);
+        free(eng->batch);
         free(eng);
         return MC_NO_MEMORY;
     }
@@ -1115,6 +1173,8 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     }
     if (status == MC_OK)
         status = recurse(eng, 0);
+    if (status == MC_OK && eng->batch_len > 0)
+        status = eng->emit(eng->batch, eng->batch_len) ? MC_ABORTED : MC_OK;
     stats[0] = eng->nodes;
     stats[1] = eng->emitted;
     stats[2] = eng->selection_cuts;
@@ -1129,6 +1189,7 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
         free(st->masks_cons);
     }
     free(eng->deg);
+    free(eng->batch);
     free(eng);
     return status;
 }

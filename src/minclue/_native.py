@@ -2,7 +2,9 @@
 
 The entry points take the same arguments and return the same results as
 those of `_pykernels`, which is the reference (`enumerate_diffs` the same
-multiset of masks, in unspecified order).  Importing this module
+multiset of masks, in unspecified order).  `run_hitting` fills its batches
+of candidates in C, so the engine calls into Python once per batch, not
+once per candidate.  Importing this module
 loads the shared library from `__pycache__/`, compiling it there with gcc
 first when no build of the current source exists (see `_cbuild`).  Import
 raises ImportError when the library is unavailable: silently when there is
@@ -58,7 +60,7 @@ def _open_library() -> ctypes.CDLL:
     int_array = POINTER(c_int)
     lib.mc_run_hitting.argtypes = (
         c_int, c_int, c_int, int_array, int_array, POINTER(c_uint64),
-        int_array, int_array, int_array, int_array, int_array, _EMIT,
+        int_array, int_array, int_array, int_array, int_array, _EMIT, c_int,
         POINTER(c_longlong), c_char_p,
     )
     lib.mc_run_hitting.restype = c_int
@@ -98,7 +100,8 @@ def _check(status: int, errors: list) -> None:
         raise MemoryError("native kernels out of memory")
     if status == _BAD_ARGUMENT:
         raise ValueError(
-            "board size, universe, k, a digit, a cell or a set mask out of range"
+            "board size, universe, k, batch, a digit, a cell or a set mask out"
+            " of range, or a grid that is not valid"
         )
 
 
@@ -158,9 +161,10 @@ def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
 
 
 def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
-                consolidations, modes, emit):
+                consolidations, modes, emit, batch: int):
     """Positional twin of the reference engine; see _pykernels.run_hitting
-    for the argument contract."""
+    for the argument contract.  The C side fills each batch and `emit`
+    receives it as one bytes object."""
     ndeg = len(degrees)
     per_degree = c_int * ndeg
     per_level = c_int * k
@@ -173,7 +177,7 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
     ))
     counters = (c_longlong * (4 + ndeg))()
     cut_levels = ctypes.create_string_buffer(ndeg * (k + 1))
-    callback, errors = _emitter(lambda data: emit(tuple(data)))
+    callback, errors = _emitter(emit)
     status = _lib.mc_run_hitting(
         universe,
         k,
@@ -187,6 +191,7 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         per_level(*(modes[level][0] for level in range(k))),
         per_level(*(modes[level][1] for level in range(k))),
         callback,
+        batch,
         counters,
         cut_levels,
     )

@@ -236,34 +236,73 @@ CONFIRM_PROPER = 1
 CONFIRM_UNSAFE = 2
 
 
-def _completion_ok(units, n: int, completion, clues) -> bool:
-    """True iff every unit of `completion` is a permutation of 1..n and
-    the completion extends `clues`; independent of the solver's
-    propagation."""
+def _grid_ok(units, n: int, grid) -> bool:
+    """True iff every unit of `grid` is a permutation of 1..n; independent
+    of the solver's propagation."""
     full = set(range(1, n + 1))
-    if any({completion[c] for c in unit} != full for unit in units):
-        return False
-    return all(not d or completion[c] == d for c, d in enumerate(clues))
+    return all({grid[c] for c in unit} == full for unit in units)
+
+
+def _completion_ok(units, n: int, completion, clues) -> bool:
+    """True iff `completion` passes `_grid_ok` and extends `clues`."""
+    return _grid_ok(units, n, completion) and all(
+        not d or completion[c] == d for c, d in enumerate(clues)
+    )
+
+
+def _witness_rec(board: _Board, grid):
+    blanks = _propagate(board, None)
+    if blanks < 0:
+        return None, False
+    if blanks == 0:
+        completion = tuple(board.grid)
+        if completion == grid:
+            return None, True
+        return completion, False
+    c = _pick_branch_cell(board)
+    cand = board.candidates(c)
+    own = cand & (1 << (grid[c] - 1))
+    for bit in bits_ascending(cand ^ own):
+        child = board.copy()
+        child.assign(c, bit + 1)
+        found, _reached = _witness_rec(child, grid)
+        if found is not None:
+            return found, False
+    if not own:
+        return None, False
+    board.assign(c, grid[c])  # the last branch: board is not needed after
+    return _witness_rec(board, grid)
+
+
+def _witness(geo, clues, grid):
+    """Search the completions of `clues` for one other than `grid`,
+    trying grid's digit last at each branch cell.  Returns (that
+    completion, False), or (None, reached) when the search is exhausted,
+    where reached tells whether it completed to `grid` itself.  With
+    grid's digit last, grid is the last completion the search can reach,
+    so reaching it ends the search."""
+    return _witness_rec(_Board(geo, clues), grid)
 
 
 def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
     """One verdict byte per candidate clue set of the grid `digits`.
 
-    `cells` concatenates the candidates, `k` cell indices each.  A
-    candidate is CONFIRM_PROPER when it has exactly one completion, that
-    completion is the grid and it passes `_completion_ok`;
-    CONFIRM_AMBIGUOUS when the solver finds two completions that both pass
-    `_completion_ok` and differ; and
-    CONFIRM_UNSAFE otherwise (no completion, an invalid completion, two
-    equal ones): a verdict the double-check could not trust.  Raises
-    ValueError for a digit count other than n*n, a digit outside 1..n, a
-    cell index outside the board or a `cells` length that is not a
+    `cells` concatenates the candidates, `k` cell indices each.  Each
+    candidate is decided by a search for one completion other than the
+    grid (`_witness`): CONFIRM_AMBIGUOUS when it returns a completion that
+    differs from the grid and passes `_completion_ok`; CONFIRM_PROPER when
+    it is exhausted and the only completion it reached is the grid, which
+    passes `_completion_ok`; and CONFIRM_UNSAFE otherwise (no completion at
+    all, or an invalid or equal witness): a verdict the double-check could
+    not trust.  Raises ValueError, before any verdict, when `digits` is not
+    a valid grid of n*n digits (so the grid completes every candidate), for
+    a cell index outside the board and for a `cells` length that is not a
     multiple of k.
     """
     geo = _geometry(box_rows, box_cols)
     n, ncells, _row_of, _col_of, _box_of, units = geo
-    if len(digits) != ncells or any(not 1 <= d <= n for d in digits):
-        raise ValueError(f"expected {ncells} digits in 1..{n}")
+    if len(digits) != ncells or not _grid_ok(units, n, digits):
+        raise ValueError(f"expected a valid grid of {ncells} digits")
     if k < 1 or len(cells) % k:
         raise ValueError("cells must hold whole candidates of k >= 1 cells")
     if any(not 0 <= c < ncells for c in cells):
@@ -274,18 +313,13 @@ def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
         clues = [0] * ncells
         for c in cells[start : start + k]:
             clues[c] = digits[c]
-        count, first, second = solve_limit(box_rows, box_cols, clues, 2)
+        found, reached = _witness(geo, clues, digits)
         verdict = CONFIRM_UNSAFE
-        if count == 1:
-            if first == digits and _completion_ok(units, n, first, clues):
-                verdict = CONFIRM_PROPER
-        elif count == 2:
-            if (
-                first != second
-                and _completion_ok(units, n, first, clues)
-                and _completion_ok(units, n, second, clues)
-            ):
+        if found is not None:
+            if found != digits and _completion_ok(units, n, found, clues):
                 verdict = CONFIRM_AMBIGUOUS
+        elif reached and _completion_ok(units, n, digits, clues):
+            verdict = CONFIRM_PROPER
         verdicts.append(verdict)
     return bytes(verdicts)
 
@@ -472,9 +506,13 @@ def enumerate_diffs(
     are pinned to the reference digits, so each completion is reached
     exactly once and most of the board is forced early.  The result is a
     multiset in unspecified order, one mask per completion (two completions
-    may share a mask); backends may list it in different orders.
+    may share a mask); backends may list it in different orders.  Raises
+    ValueError when `solution` is not a valid grid.
     """
     geo = _geometry(box_rows, box_cols)
+    n, ncells, _row_of, _col_of, _box_of, units = geo
+    if len(solution) != ncells or not _grid_ok(units, n, solution):
+        raise ValueError(f"expected a valid grid of {ncells} digits")
     ref = tuple(solution)
     cells = [0 if (blank_mask >> c) & 1 else d for c, d in enumerate(solution)]
     blanks = [c for c in range(len(ref)) if (blank_mask >> c) & 1]
@@ -548,6 +586,7 @@ def run_hitting(
     consolidations,
     modes,
     emit,
+    batch,
 ):
     """Enumerate k-subsets of range(universe) hitting every degree-1 set,
     each exactly once: the cells of the drawn-from set up to the drawn cell
@@ -560,11 +599,17 @@ def run_hitting(
     check_levels      per degree, level at which to test all-hit (or -1)
     consolidations    per degree, (trigger_level, cap) or None
     modes             per level 0..k-1, (mode_code, parameter)
-    emit              callable receiving each hitting set as an ascending
-                      tuple; must not re-enter the engine
+    emit              callable receiving the hitting sets in batches: one
+                      bytes object of whole sets, k ascending cell bytes
+                      each, in emission order; must not re-enter the engine
+    batch             sets per emit call (>= 1); the sets left over at the
+                      end go in one last, shorter call, none when no set
+                      is left
 
     Returns a stats dict (nodes, emitted, per-degree cut counts/levels).
     """
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     states = {}
     for d, masks in zip(degrees, masks_by_degree):
         states[d] = _DegreeState(d, masks, universe)
@@ -573,6 +618,8 @@ def run_hitting(
     statevec = {d: [0] * (k + 1) for d in states}
     deadvec = [0] * (k + 1)
     hitset: list = []
+    pending = bytearray()
+    full_batch = batch * k
     alive_universe = (1 << universe) - 1
 
     stats = {
@@ -698,17 +745,21 @@ def run_hitting(
             return -1
         return best
 
+    def take(cells) -> None:
+        stats["emitted"] += 1
+        pending.extend(sorted(cells))
+        if len(pending) == full_batch:
+            emit(bytes(pending))
+            pending.clear()
+
     def free_fill(level: int) -> None:
         need = k - level
-        base = tuple(sorted(hitset))
         if need == 0:
-            stats["emitted"] += 1
-            emit(base)
+            take(hitset)
             return
         avail = [c for c in range(universe) if not (deadvec[level] >> c) & 1]
         for combo in combinations(avail, need):
-            stats["emitted"] += 1
-            emit(tuple(sorted(hitset + list(combo))))
+            take(hitset + list(combo))
 
     def recurse(level: int) -> None:
         stats["nodes"] += 1
@@ -746,6 +797,8 @@ def run_hitting(
 
     try:
         recurse(0)
+        if pending:
+            emit(bytes(pending))
     finally:
         # recurse reaches itself through its closure; without this the
         # cycle keeps emit, and all the caller's sink holds, alive until

@@ -9,6 +9,7 @@ import time
 from typing import Dict
 
 from .backend import available_backends
+from .checker import CONFIRM_BATCH
 from .grid import SHAPE_9X9, Grid, GridShape
 from .hitting import EngineConfig, HittingInstance, resolve_plan
 
@@ -105,7 +106,7 @@ def bench_hitting(seed: int = 1) -> Dict[str, float]:
     times = {}
     for name, kern in available_backends().items():
         started = time.perf_counter()
-        kern.run_hitting(*plan, lambda cells: None)
+        kern.run_hitting(*plan, lambda batch: None, CONFIRM_BATCH)
         times[name] = time.perf_counter() - started
     return times
 

@@ -2,10 +2,12 @@
 candidate k-clue puzzles as hitting sets, and confirm properness with the
 kernels' batch entry `confirm`.
 
-The engine's sink only appends each candidate's cells to a buffer; every
-CONFIRM_BATCH candidates, and once at the end, one `confirm` call solves
-the whole batch and double-checks each verdict (a unique completion must be
-the grid; two completions must be valid, extend the clues and differ).
+The engine hands its sink CONFIRM_BATCH candidates per call (the rest in
+one last call), already packed as bytes; the sink passes each batch
+straight to one `confirm` call.  `confirm` searches each candidate for a
+completion other than the grid: one that passes its double-check (valid,
+extends the clues, differs from the grid) makes the candidate ambiguous,
+and an exhausted search that reached only the grid makes it proper.
 Proper puzzles are kept in emission order.  A candidate whose verdict the
 double-check rejects is a safety failure: it is counted, never reported as
 proper, and re-run through `count_completions` and
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from ._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER
+from ._pykernels import CONFIRM_PROPER, CONFIRM_UNSAFE
 from .backend import kernels
 from .errors import GridFormatError, InconsistentCluesError
 from .grid import CellSet, Grid, GridShape, parse_grid
@@ -43,7 +45,7 @@ CHECKER_VERSION = "1"
 
 _DEFAULT_MAX_SET_SIZE = {16: 8, 36: 10, 81: 12}
 DEFAULT_CLIQUE_CAPS = {2: 8192, 3: 16384, 4: 32768, 5: 32768, 6: 16384}
-# candidates confirmed per kernel call; bounds the pending buffer
+# candidates per engine batch, each confirmed by one kernel call
 CONFIRM_BATCH = 4096
 
 
@@ -161,38 +163,32 @@ def search_grid(
     digits = bytes(grid.digits)
     proper: List[CellSet] = []
     candidates = 0
-    pending = bytearray()
 
-    def confirm_pending() -> None:
+    def confirm_batch(batch: bytes) -> None:
         nonlocal candidates, safety_failures
-        verdicts = kernels.confirm(shape.box_rows, shape.box_cols, digits, k, pending)
-        for i, verdict in enumerate(verdicts):
-            if verdict == CONFIRM_AMBIGUOUS:
-                continue
-            cells = pending[i * k : (i + 1) * k]
-            if verdict == CONFIRM_PROPER:
-                mask = 0
-                for c in cells:
-                    mask |= 1 << c
-                proper.append(CellSet(shape, mask))
-            else:
-                safety_failures += 1
-                logger.error(
-                    "grid %s: candidate %s failed confirmation: %s",
-                    grid,
-                    tuple(cells),
-                    _diagnose(grid, cells),
-                )
+        verdicts = kernels.confirm(shape.box_rows, shape.box_cols, digits, k, batch)
         candidates += len(verdicts)
-        pending.clear()
+        i = verdicts.find(CONFIRM_PROPER)
+        while i >= 0:
+            mask = 0
+            for c in batch[i * k : (i + 1) * k]:
+                mask |= 1 << c
+            proper.append(CellSet(shape, mask))
+            i = verdicts.find(CONFIRM_PROPER, i + 1)
+        i = verdicts.find(CONFIRM_UNSAFE)
+        while i >= 0:
+            cells = batch[i * k : (i + 1) * k]
+            safety_failures += 1
+            logger.error(
+                "grid %s: candidate %s failed confirmation: %s",
+                grid,
+                tuple(cells),
+                _diagnose(grid, cells),
+            )
+            i = verdicts.find(CONFIRM_UNSAFE, i + 1)
 
-    def collect(cells: Tuple[int, ...]) -> None:
-        pending.extend(cells)
-        if len(pending) >= CONFIRM_BATCH * k:
-            confirm_pending()
-
-    enumerate_hitting_sets(instance, config.engine, collect)
-    confirm_pending()
+    engine = replace(config.engine, emit_batch=CONFIRM_BATCH)
+    enumerate_hitting_sets(instance, engine, confirm_batch)
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return GridSearchReport(

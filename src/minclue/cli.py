@@ -28,6 +28,7 @@ from .hitting import (
     enumerate_hitting_sets,
     format_hitting_set,
     parse_instance,
+    per_candidate,
 )
 from .solver import count_completions
 from .symmetry import catalog, minlex, verify_scs_bracket
@@ -205,7 +206,7 @@ def cmd_hitset(args) -> int:
     enumerate_hitting_sets(
         instance,
         EngineConfig(),
-        lambda cells: print(format_hitting_set(cells)),
+        per_candidate(instance.k, lambda cells: print(format_hitting_set(cells))),
     )
     return 0
 

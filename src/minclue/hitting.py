@@ -5,7 +5,9 @@ hit degree-1 set, tracking hits with per-degree bit rows.  Higher-degree
 families only prune: a degree-d set still unhit when fewer than d draws
 remain kills its branch.  The dead-cell rule (cells of the drawn-from set
 below the chosen cell are excluded from the subtree) makes every hitting
-set come out exactly once.
+set come out exactly once.  The engine hands its sink the hitting sets in
+batches of whole sets, as bytes; `per_candidate` adapts a callable that
+takes one set at a time.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ class EngineConfig:
         default_factory=lambda: dict(DEFAULT_CONSOLIDATION)
     )
     selection: SelectionSchedule = SelectionSchedule()
+    # hitting sets per sink call; search_grid sets it to its confirm batch
+    emit_batch: int = 1
 
 
 def check_level(k: int, degree: int) -> int:
@@ -171,20 +175,37 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
 def enumerate_hitting_sets(
     instance: HittingInstance,
     config: EngineConfig = EngineConfig(),
-    sink: Optional[Callable[[Tuple[int, ...]], None]] = None,
+    sink: Optional[Callable[[bytes], None]] = None,
     stats: Optional[dict] = None,
 ) -> int:
     """Feed every k-subset hitting all degree-1 sets to `sink`, each
     exactly once, in a deterministic order; returns the number emitted.
 
-    The sink must not re-enter the engine.
+    Each sink call receives one bytes object holding `config.emit_batch`
+    whole sets, k ascending cell bytes each; the sets left at the end go
+    in one last, shorter call.  The sink must not re-enter the engine.
     """
     if sink is None:
-        sink = lambda cells: None
-    run_stats = kernels.run_hitting(*resolve_plan(instance, config), sink)
+        sink = lambda batch: None
+    run_stats = kernels.run_hitting(
+        *resolve_plan(instance, config), sink, config.emit_batch
+    )
     if stats is not None:
         stats.update(run_stats)
     return run_stats["emitted"]
+
+
+def per_candidate(
+    k: int, take: Callable[[Tuple[int, ...]], None]
+) -> Callable[[bytes], None]:
+    """A sink for `enumerate_hitting_sets` that splits each batch and
+    hands `take` every k-cell set in it, in order, as an ascending tuple."""
+
+    def sink(batch: bytes) -> None:
+        for start in range(0, len(batch), k):
+            take(tuple(batch[start : start + k]))
+
+    return sink
 
 
 def brute_force_hitting_sets(instance: HittingInstance) -> List[Tuple[int, ...]]:

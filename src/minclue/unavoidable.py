@@ -155,8 +155,9 @@ def recheck_family(grid: Grid, family: UnavoidableFamily) -> int:
     return the number of failures (0 when healthy).
 
     The complements are confirmed in one `kernels.confirm` call per
-    complement size, and a set passes only on CONFIRM_AMBIGUOUS: two
-    completions, both checked valid and different.  A set covering the
+    complement size, and a set passes only on CONFIRM_AMBIGUOUS: a
+    completion other than the grid, checked valid and extending the
+    clues.  A set covering the
     whole grid has no clues left to confirm and goes through
     `is_unavoidable`.
     """

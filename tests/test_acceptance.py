@@ -32,6 +32,7 @@ from minclue.hitting import (
     SelectionSchedule,
     brute_force_hitting_sets,
     enumerate_hitting_sets,
+    per_candidate,
 )
 from minclue.solver import count_completions
 from minclue.symmetry import (
@@ -122,7 +123,7 @@ class TestCriterion3HittingOracle:
                     selection=SelectionSchedule(full_through=max(0, k - 2)),
                 )
                 got = []
-                enumerate_hitting_sets(instance, config, got.append)
+                enumerate_hitting_sets(instance, config, per_candidate(k, got.append))
                 assert sorted(got) == oracle
                 assert len(got) == len(set(got))
             checked += 1
@@ -138,7 +139,7 @@ class TestCriterion4WorkedInstance:
             81, 2, {1: [{0, 3, 9, 12}, {0, 1, 27, 28}, {3, 4, 66, 67}]}
         )
         got = []
-        enumerate_hitting_sets(instance, EngineConfig(), got.append)
+        enumerate_hitting_sets(instance, EngineConfig(), per_candidate(2, got.append))
         assert sorted(got) == [
             (0, 3), (0, 4), (0, 66), (0, 67), (1, 3), (3, 27), (3, 28),
         ]

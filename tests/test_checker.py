@@ -243,10 +243,22 @@ class TestSafetyPath:
             assert "1 unavoidable sets failed the solver recheck" in caplog.text
 
     def test_later_batches_are_confirmed_too(self, reps_4x4, monkeypatch):
-        """Batches of one candidate give the same report as one batch."""
+        """Batches of one candidate give the same report as one batch, and
+        each engine batch goes to `confirm` as it is."""
+        from types import SimpleNamespace
+
         from minclue import checker
 
         whole = search_grid(reps_4x4[1], 4)
+        real = checker.kernels.confirm
+        sizes = []
+
+        def confirm(box_rows, box_cols, digits, k, cells):
+            sizes.append(len(cells))
+            return real(box_rows, box_cols, digits, k, cells)
+
         monkeypatch.setattr(checker, "CONFIRM_BATCH", 1)
+        monkeypatch.setattr(checker, "kernels", SimpleNamespace(confirm=confirm))
         split = search_grid(reps_4x4[1], 4)
         assert replace(split, elapsed_ms=0) == replace(whole, elapsed_ms=0)
+        assert sizes == [4] * whole.candidates

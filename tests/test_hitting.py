@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
+from minclue.checker import CONFIRM_BATCH
 from minclue import hitting
 from minclue.errors import BudgetExceededError
 from minclue.hitting import (
@@ -19,6 +20,7 @@ from minclue.hitting import (
     enumerate_hitting_sets,
     format_hitting_set,
     parse_instance,
+    per_candidate,
 )
 
 WORKED_FAMILY = [{0, 3, 9, 12}, {0, 1, 27, 28}, {3, 4, 66, 67}]
@@ -30,7 +32,7 @@ def make_instance(universe, k, families):
 
 def run(instance, config=EngineConfig(), stats=None):
     got = []
-    enumerate_hitting_sets(instance, config, got.append, stats)
+    enumerate_hitting_sets(instance, config, per_candidate(instance.k, got.append), stats)
     return got
 
 
@@ -358,6 +360,55 @@ class TestInstanceFile:
             parse_instance("81 2\nnot a set\n")
 
 
+class TestBatchEmission:
+    """Both engines hand the sink whole candidates, k ascending cell bytes
+    each, `batch` of them per call and the rest in one last call."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batches_concatenate_to_the_same_bytes(self, backends, seed):
+        instance = random_instance(
+            random.Random(seed), max_universe=16, max_k=4, max_sets=12
+        )
+        k = instance.k
+        plan = hitting.resolve_plan(instance, EngineConfig())
+        joined = set()
+        for name, kern in backends.items():
+            for batch in (1, 3, CONFIRM_BATCH):
+                calls = []
+                stats = kern.run_hitting(*plan, calls.append, batch)
+                data = b"".join(calls)
+                assert all(len(c) == batch * k for c in calls[:-1]), (name, batch)
+                assert all(0 < len(c) <= batch * k for c in calls[-1:]), (name, batch)
+                assert stats["emitted"] * k == len(data), (name, batch)
+                joined.add(data)
+        assert len(joined) == 1
+        cells = list(joined.pop())
+        got = [tuple(cells[i : i + k]) for i in range(0, len(cells), k)]
+        assert got == run(instance)
+        assert all(list(c) == sorted(set(c)) for c in got)
+        assert sorted(got) == brute_force_hitting_sets(instance)
+
+    def test_emit_batch_sets_the_call_size(self, backends):
+        instance = make_instance(81, 2, {1: WORKED_FAMILY})
+        saved = hitting.kernels
+        try:
+            for name, kern in backends.items():
+                hitting.kernels = kern
+                calls = []
+                config = EngineConfig(emit_batch=3)
+                assert enumerate_hitting_sets(instance, config, calls.append) == 7
+                assert [len(c) for c in calls] == [6, 6, 2], name
+        finally:
+            hitting.kernels = saved
+
+    def test_batch_below_one_raises(self, backends):
+        plan = hitting.resolve_plan(make_instance(8, 2, {1: [{0, 1}]}), EngineConfig())
+        for name, kern in backends.items():
+            with pytest.raises(ValueError):
+                kern.run_hitting(*plan, lambda batch: None, 0)
+
+
 class TestDeterminism:
     def test_identical_runs_identical_order(self):
         rng = random.Random(8)
@@ -395,7 +446,7 @@ def run_plan_each_backend(backends, plan):
     results = []
     for kern in backends.values():
         got = []
-        results.append((got, kern.run_hitting(*plan, got.append)))
+        results.append((got, kern.run_hitting(*plan, per_candidate(plan[1], got.append), 1)))
     for other in results[1:]:
         assert other == results[0]
     return results[0]
@@ -556,8 +607,9 @@ def assert_engine_parity(py, native, plan):
     """Both backends emit the same sets in the same order and return equal
     stats dicts; returns the stats."""
     a, b = [], []
-    stats = py.run_hitting(*plan, a.append)
-    assert native.run_hitting(*plan, b.append) == stats
+    k = plan[1]
+    stats = py.run_hitting(*plan, per_candidate(k, a.append), 1)
+    assert native.run_hitting(*plan, per_candidate(k, b.append), 1) == stats
     assert a == b
     return stats
 
