@@ -21,7 +21,11 @@
  *
  * mc_confirm judges each candidate clue set by searching for one completion
  * other than the grid, trying the grid's digit last at each branch cell;
- * the grid must be valid, so it completes every candidate.
+ * the grid must be valid, so it completes every candidate.  The cells where
+ * such a witness differs from the grid form an unavoidable set, so a later
+ * candidate that misses them all is ambiguous too: the call keeps its last
+ * witnesses and settles such a candidate by re-reading one, without a
+ * search (see Memo).  The reference searches every candidate.
  */
 
 #include <limits.h>
@@ -78,6 +82,11 @@ static inline int bit_digit(unsigned int bit)
 static inline int mask_bit(u64 lo, u64 hi, int c)
 {
     return c < 64 ? (int)((lo >> c) & 1) : (int)((hi >> (c - 64)) & 1);
+}
+
+static inline void set_cell(u64 *mask, int c)
+{
+    mask[c >> 6] |= (u64)1 << (c & 63);
 }
 
 static void store_le64(u8 *p, u64 v)
@@ -429,19 +438,76 @@ static int witness_rec(const Geo *geo, Board *b, const u8 *grid, int *reached,
     return witness_rec(geo, b, grid, reached, out);
 }
 
+/* Witnesses that the searches of one mc_confirm call returned, most
+ * recently used first.  A witness W differs from the grid on a set D of
+ * cells, and W and the grid are two completions of any clue set that
+ * misses D: D is unavoidable.  A candidate that misses some stored D is
+ * therefore ambiguous, and memo_hit confirms it on W itself, a grid that
+ * passed completion_ok and differs from the grid: W must hold the grid's
+ * digit at every clue cell.  The masks span MAX_CELLS, every board
+ * mc_confirm accepts; a slot lives for one call. */
+enum { MEMO_SLOTS = 64, MEMO_WORDS = MAX_CELLS / 64 };
+
+typedef struct {
+    int used;                          /* slots filled */
+    int words;                         /* mask words the board needs */
+    u8 order[MEMO_SLOTS];              /* slot indices, most recent first */
+    u64 diff[MEMO_SLOTS][MEMO_WORDS];  /* cells where the witness differs */
+    u8 grid[MEMO_SLOTS][MAX_CELLS];    /* the witness */
+} Memo;
+
+/* 1 when a stored witness misses the candidate's clue mask and holds the
+ * grid's digits at its k clue cells; that witness moves to the front. */
+static int memo_hit(Memo *memo, const u64 *clue_mask, const u8 *cand, int k,
+                    const u8 *digits)
+{
+    for (int p = 0; p < memo->used; ++p) {
+        int s = memo->order[p], w = 0, j = 0;
+        while (w < memo->words && !(memo->diff[s][w] & clue_mask[w]))
+            ++w;
+        if (w < memo->words)
+            continue;
+        while (j < k && memo->grid[s][cand[j]] == digits[cand[j]])
+            ++j;
+        if (j < k)
+            continue;
+        memmove(memo->order + 1, memo->order, (size_t)p);
+        memo->order[0] = (u8)s;
+        return 1;
+    }
+    return 0;
+}
+
+/* Store `witness` at the front, over the least recently used slot when the
+ * memo is full. */
+static void memo_add(Memo *memo, int ncells, const u8 *witness, const u8 *digits)
+{
+    int s = memo->used < MEMO_SLOTS ? memo->used++ : memo->order[MEMO_SLOTS - 1];
+    memmove(memo->order + 1, memo->order, (size_t)(memo->used - 1));
+    memo->order[0] = (u8)s;
+    memset(memo->diff[s], 0, sizeof memo->diff[s]);
+    for (int c = 0; c < ncells; ++c)
+        if (witness[c] != digits[c])
+            set_cell(memo->diff[s], c);
+    memcpy(memo->grid[s], witness, (size_t)ncells);
+}
+
 /* Write one verdict per candidate to verdicts[0..count); mirrors
- * _pykernels.confirm.  The search for a completion other than `digits`
- * (witness_rec) decides it: CONFIRM_AMBIGUOUS when it returns one that
- * differs from `digits` and passes completion_ok, CONFIRM_PROPER when it
- * is exhausted having reached only `digits`, which passes completion_ok,
- * and CONFIRM_UNSAFE otherwise.  `cells` holds count * k cell indices, k
- * per candidate.  Returns MC_OK, or MC_BAD_ARGUMENT for an unsupported
- * shape, k < 1, a `digits` that is not a valid grid or a cell index
- * outside the board (checked before any verdict). */
+ * _pykernels.confirm.  A candidate that a stored witness settles (memo_hit)
+ * is CONFIRM_AMBIGUOUS.  Otherwise the search for a completion other than
+ * `digits` (witness_rec) decides it: CONFIRM_AMBIGUOUS when it returns one
+ * that differs from `digits` and passes completion_ok, which is then
+ * stored, CONFIRM_PROPER when it is exhausted having reached only
+ * `digits`, which passes completion_ok, and CONFIRM_UNSAFE otherwise.
+ * `cells` holds count * k cell indices, k per candidate.  Returns MC_OK, or
+ * MC_BAD_ARGUMENT for an unsupported shape, k < 1, a `digits` that is not a
+ * valid grid or a cell index outside the board (checked before any
+ * verdict). */
 int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
                const u8 *cells, u8 *verdicts)
 {
     Geo geo;
+    Memo memo;
     u8 clues[MAX_CELLS];
     u8 out[MAX_CELLS];
     size_t total = (size_t)count * (size_t)(k > 0 ? k : 0);
@@ -452,18 +518,29 @@ int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
     for (size_t i = 0; i < total; ++i)
         if (cells[i] >= geo.ncells)
             return MC_BAD_ARGUMENT;
+    memo.used = 0;
+    memo.words = (geo.ncells + 63) >> 6;
     for (int i = 0; i < count; ++i) {
         const u8 *cand = cells + (size_t)i * k;
+        u64 clue_mask[MEMO_WORDS] = {0};
         Board board;
         int reached = 0;
         u8 verdict = CONFIRM_UNSAFE;
+        for (int j = 0; j < k; ++j)
+            set_cell(clue_mask, cand[j]);
+        if (memo_hit(&memo, clue_mask, cand, k, digits)) {
+            verdicts[i] = CONFIRM_AMBIGUOUS;
+            continue;
+        }
         memset(clues, 0, geo.ncells);
         for (int j = 0; j < k; ++j)
             clues[cand[j]] = digits[cand[j]];
         board_init(&geo, &board, clues);
         if (witness_rec(&geo, &board, digits, &reached, out)) {
-            if (memcmp(out, digits, geo.ncells) != 0 && completion_ok(&geo, out, clues))
+            if (memcmp(out, digits, geo.ncells) != 0 && completion_ok(&geo, out, clues)) {
                 verdict = CONFIRM_AMBIGUOUS;
+                memo_add(&memo, geo.ncells, out, digits);
+            }
         } else if (reached && completion_ok(&geo, digits, clues)) {
             verdict = CONFIRM_PROPER;
         }
@@ -535,11 +612,6 @@ typedef struct {
     Swap swaps[MAX_N][RECT_MAX_SWAPS];
     mc_emit_fn emit;
 } RectCtx;
-
-static void set_cell(u64 *mask, int c)
-{
-    mask[c >> 6] |= (u64)1 << (c & 63);
-}
 
 /* Pick a swap for blanked digit i onward.  filled/vacated hold the cells
  * of the swaps chosen so far, placed the cells of digits 0..i-1.  A swap is

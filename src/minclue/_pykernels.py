@@ -298,6 +298,11 @@ def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
     a valid grid of n*n digits (so the grid completes every candidate), for
     a cell index outside the board and for a `cells` length that is not a
     multiple of k.
+
+    This reference searches every candidate and is the oracle.  The native
+    kernel skips the search of a candidate that misses the cells where an
+    earlier witness of the same call differs from the grid, since that
+    witness completes it too; its verdicts must equal these.
     """
     geo = _geometry(box_rows, box_cols)
     n, ncells, _row_of, _col_of, _box_of, units = geo

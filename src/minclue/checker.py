@@ -7,7 +7,12 @@ one last call), already packed as bytes; the sink passes each batch
 straight to one `confirm` call.  `confirm` searches each candidate for a
 completion other than the grid: one that passes its double-check (valid,
 extends the clues, differs from the grid) makes the candidate ambiguous,
-and an exhausted search that reached only the grid makes it proper.
+and an exhausted search that reached only the grid makes it proper.  The
+cells where such a completion differs from the grid form an unavoidable
+set, so the native `confirm` also calls a later candidate of the same call
+ambiguous without a search when it misses one of the last 64 such sets
+and that completion holds the grid's digits at its clues; the reference
+searches every candidate.
 Proper puzzles are kept in emission order.  A candidate whose verdict the
 double-check rejects is a safety failure: it is counted, never reported as
 proper, and re-run through `count_completions` and

@@ -4,16 +4,17 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clue_cells, random_solution_grid
-from minclue import _pykernels, unavoidable
+from minclue import _pykernels, checker, unavoidable
 from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
 from minclue.backend import backend_name
-from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9
+from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9, Grid, GridShape
 from minclue.solver import count_completions, verify_two_completions
 from minclue.hitting import EngineConfig, HittingInstance, resolve_plan
 from minclue.unavoidable import find_minimal_unavoidable
@@ -307,6 +308,52 @@ def confirm_args(grid, k, cells):
     return shape.box_rows, shape.box_cols, bytes(grid.digits), k, bytes(cells)
 
 
+def rectangle_in_last_rows(shape, rng):
+    """A grid of `shape` and the four cells of a swappable rectangle in its
+    last two rows: one cell of each row at the last column of the
+    next-to-last stack, one in the last stack.  Found in the first random
+    grid that has one (two rows of one band, two stacks, digits a b / b a),
+    then moved there by permuting bands, rows within a band, stacks and
+    columns within a stack, which keeps the grid valid."""
+    br, bc, n = shape.box_rows, shape.box_cols, shape.side
+    found = None
+    while found is None:
+        digits = random_solution_grid(shape, rng).digits
+        at = lambda r, c: digits[r * n + c]  # noqa: E731
+        found = next(
+            (
+                [r1, r2, c1, c2]
+                for r1 in range(n)
+                for r2 in range(r1 + 1, (r1 // br + 1) * br)
+                for c1 in range(n)
+                for c2 in range(n)
+                if c1 // bc != c2 // bc
+                and at(r1, c1) == at(r2, c2)
+                and at(r1, c2) == at(r2, c1)
+            ),
+            None,
+        )
+    r1, r2, c1, c2 = found
+
+    def move_last(size, picks):
+        """0..n-1 reordered with groups of `size` kept whole: the groups
+        of `picks` go last and each pick to the end of its group, both in
+        pick order."""
+        groups = [p // size for p in picks]
+        return sorted(
+            range(n),
+            key=lambda i: (
+                n + groups.index(i // size) if i // size in groups else i // size,
+                n + picks.index(i) if i in picks else i,
+            ),
+        )
+
+    rows, cols = move_last(br, [r1, r2]), move_last(bc, [c1, c2])
+    moved = [at(r, c) for r in rows for c in cols]
+    rect = {r * n + cols.index(c) for r in (n - 2, n - 1) for c in (c1, c2)}
+    return Grid.from_digits(shape, moved), rect
+
+
 # rows and columns are permutations, the top-left box is not
 LATIN_4X4 = (1, 2, 3, 4, 2, 3, 4, 1, 3, 4, 1, 2, 4, 1, 2, 3)
 
@@ -404,6 +451,76 @@ class TestConfirm:
         monkeypatch.setattr(_pykernels, "_witness", corrupted)
         got = _pykernels.confirm(*confirm_args(grid, k, cells))
         assert got == bytes([CONFIRM_UNSAFE])
+
+    def test_engine_batch_matches_the_reference(self, backends, monkeypatch):
+        """The first engine batch of a 6x6 search at k=9: native verdicts
+        equal the reference's byte for byte.  Most of its ambiguous
+        candidates miss the cells where an earlier searched candidate's
+        witness differs from the grid, which is what lets the native
+        `confirm` settle them on that witness instead of searching."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        grid = random_solution_grid(SHAPE_6X6, random.Random(61))
+        k = 9
+        batches = []
+
+        def first_batch(box_rows, box_cols, digits, k, cells):
+            batches.append(bytes(cells))
+            raise Stop
+
+        monkeypatch.setattr(checker, "kernels", SimpleNamespace(confirm=first_batch))
+        with pytest.raises(Stop):
+            checker.search_grid(grid, k)
+        batch = batches[0]
+        assert len(batch) == checker.CONFIRM_BATCH * k
+        verdicts = backends["native"].confirm(*confirm_args(grid, k, batch))
+        assert verdicts == _pykernels.confirm(*confirm_args(grid, k, batch))
+
+        geo = _pykernels._geometry(2, 3)
+        digits = grid.digits
+        diffs, settled = [], 0
+        ambiguous = verdicts.count(CONFIRM_AMBIGUOUS)
+        for i in range(len(verdicts)):
+            if verdicts[i] != CONFIRM_AMBIGUOUS:
+                continue
+            cand = batch[i * k : (i + 1) * k]
+            mask = sum(1 << c for c in cand)
+            if any(not d & mask for d in diffs):
+                settled += 1
+                continue
+            found, _reached = _pykernels._witness(geo, clue_cells(grid, mask), digits)
+            diffs.append(sum(1 << c for c, d in enumerate(found) if d != digits[c]))
+        assert ambiguous > len(verdicts) // 2
+        assert settled > ambiguous // 2
+
+    @pytest.mark.parametrize(
+        "shape, low", [(SHAPE_9X9, 64), (GridShape(3, 4), 64), (GridShape(4, 3), 128)]
+    )
+    def test_difference_in_high_cells(self, backends, shape, low):
+        """A leaves out a swappable rectangle whose cells all lie at `low`
+        and above, so its witness differs from the grid there only.  B
+        leaves out four cells of distinct rows outside the rectangle: it is
+        proper, and it meets that difference only at cells >= low.  A memo
+        test that read fewer mask words would take B for ambiguous.  On
+        GridShape(3, 4) no unavoidable set lies wholly in cells >= 128 (the
+        last two rows meet them in one box), so GridShape(4, 3) covers the
+        third word."""
+        grid, rect = rectangle_in_last_rows(shape, random.Random(8))
+        assert min(rect) >= low
+        n, ncells = shape.side, shape.cell_count
+        seen, removed = set(), []
+        for c in range(ncells):
+            r, col = divmod(c, n)
+            box = (r // shape.box_rows, col // shape.box_cols)
+            keys = {("d", grid.digits[c]), ("r", r), ("c", col), ("b", box)}
+            if c not in rect and not keys & seen and len(removed) < 4:
+                removed.append(c)
+                seen |= keys
+        a = [c for c in range(ncells) if c not in rect]
+        b = [c for c in range(ncells) if c not in removed]
+        for name, kernels in backends.items():
+            verdicts = kernels.confirm(*confirm_args(grid, ncells - 4, a + b))
+            assert verdicts == bytes([CONFIRM_AMBIGUOUS, CONFIRM_PROPER]), name
 
 
 class TestBenchmarks:
