@@ -47,7 +47,7 @@ def backend_name() -> str:
 
 
 def available_backends() -> dict:
-    """Importable backends by name; used by tests and the benchmark."""
+    """Importable backends by name; used by tests."""
     out = {"python": _pykernels}
     native, _error = _import_native()
     if native is not None:

@@ -77,6 +77,18 @@ class SearchConfig:
                     f"clique degree {degree} has no default cap; "
                     f"give one with clique_cap.{degree}"
                 )
+        # values no grid can search with: build_cliques refuses such caps
+        # and starts, and a family cap below 1 keeps no unavoidable set
+        if self.family_cap < 1:
+            raise ValueError("family_cap must be at least 1")
+        for degree, cap in self.clique_caps.items():
+            if cap < 1:
+                raise ValueError(f"clique_cap.{degree} must be at least 1")
+        for degree, start in self.clique_starts.items():
+            if start < degree - 1:
+                raise ValueError(
+                    f"clique_start.{degree} must be at least {degree - 1}"
+                )
 
     def resolved_max_set_size(self, shape: GridShape) -> int:
         if self.max_set_size is not None:

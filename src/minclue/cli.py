@@ -11,8 +11,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import bench as bench_mod
-from .backend import backend_name
 from .checker import GridSearchError, SearchConfig, format_report, search_grid
 from .config import config_header_lines, load_config_file
 from .errors import (
@@ -129,8 +127,6 @@ def build_parser() -> _Parser:
     p.add_argument("n", type=int)
     p.add_argument("total", type=int)
     p.add_argument("claimed", type=int)
-
-    p = sub.add_parser("bench", help="compare kernel backends")
 
     return parser
 
@@ -272,12 +268,6 @@ def cmd_verify_scs(args) -> int:
     return 0
 
 
-def cmd_bench(_args) -> int:
-    print(f"# active backend: {backend_name()}")
-    bench_mod.run_all()
-    return 0
-
-
 _COMMANDS = {
     "solve": cmd_solve,
     "canon": cmd_canon,
@@ -288,7 +278,6 @@ _COMMANDS = {
     "search": cmd_search,
     "farm": cmd_farm,
     "verify-scs": cmd_verify_scs,
-    "bench": cmd_bench,
 }
 
 

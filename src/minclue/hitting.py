@@ -111,6 +111,11 @@ class EngineConfig:
     # hitting sets per sink call; search_grid sets it to its confirm batch
     emit_batch: int = 1
 
+    def __post_init__(self) -> None:
+        for trigger, cap in self.consolidation.values():
+            if trigger < 1 or cap < 1:
+                raise ValueError("consolidation triggers and caps must be >= 1")
+
 
 def check_level(k: int, degree: int) -> int:
     """Level (clues drawn) at which a degree-d family proves a branch dead:
@@ -133,8 +138,6 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
     consolidations: Dict[int, Tuple[int, int]] = {}
     if config.enable_consolidation:
         for d, (trigger, cap) in config.consolidation.items():
-            if trigger < 1 or cap < 1:
-                raise ValueError("consolidation triggers and caps must be >= 1")
             if trigger >= k:
                 continue
             if d not in instance.families or not instance.families[d]:

@@ -117,11 +117,12 @@ def _worker_cap(requested: int) -> int:
     return requested
 
 
-def _run_batch(args) -> Tuple[int, int, int, List[str], int]:
+def _run_batch(args) -> Tuple[List[str], int]:
     """Worker entry: search one batch of grid lines; returns the frame
     payload (one formatted report block per grid) and the batch's summed
-    safety failures."""
-    batch_id, start, end, lines, k, config = args
+    safety failures.  `args` is (batch id, lines, k, config); the id is
+    unused here but names the batch to any wrapper of this entry."""
+    _batch_id, lines, k, config = args
     blocks: List[str] = []
     failures = 0
 
@@ -131,7 +132,7 @@ def _run_batch(args) -> Tuple[int, int, int, List[str], int]:
         failures += getattr(record, "safety_failures", 0)
 
     search_catalog(lines, k, config, sink)
-    return batch_id, start, end, blocks, failures
+    return blocks, failures
 
 
 def run_farm(
@@ -150,7 +151,8 @@ def run_farm(
 
     `time_budget` (seconds) and `max_batches` both stop the run early;
     batches in flight at that point are abandoned (recorded by a later
-    invocation).  A worker crash abandons its batch the same way.
+    invocation).  A worker crash abandons its batch the same way.  A batch
+    whose search raises is run once more; a second failure is raised.
     """
     catalogue_path = Path(catalogue_path)
     checkpoint_path = Path(checkpoint_path)
@@ -211,17 +213,9 @@ def run_farm(
             futures = {}
             retried: Set[int] = set()
             queue = list(pending)
-            by_id = {b.batch_id: b for b in batches}
 
             def submit(batch: WorkBatch) -> None:
-                payload = (
-                    batch.batch_id,
-                    batch.start,
-                    batch.end,
-                    lines[batch.start : batch.end],
-                    k,
-                    config,
-                )
+                payload = (batch.batch_id, lines[batch.start : batch.end], k, config)
                 futures[pool.submit(_run_batch, payload)] = batch
 
             # prime the pool; workers pull the next batch as they finish
@@ -235,17 +229,18 @@ def run_farm(
                     for future in done_set:
                         batch = futures.pop(future)
                         try:
-                            batch_id, _s, _e, blocks, failures = future.result()
+                            blocks, failures = future.result()
                         except BrokenProcessPool:
                             raise
                         except Exception:
+                            if batch.batch_id in retried:
+                                raise
                             logger.exception(
-                                "batch %d failed; returning it to pending",
+                                "batch %d failed; running it once more",
                                 batch.batch_id,
                             )
-                            if batch.batch_id not in retried:
-                                retried.add(batch.batch_id)
-                                queue.insert(0, batch)
+                            retried.add(batch.batch_id)
+                            queue.insert(0, batch)
                             continue
                         record(batch, blocks)
                         safety_failures += failures

@@ -7,9 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minclue.backend import available_backends  # noqa: E402
-from minclue.bench import random_solution_grid  # noqa: E402,F401
 from minclue.grid import SHAPE_4X4, SHAPE_9X9, Grid, GridShape  # noqa: E402
 from minclue.symmetry import representatives  # noqa: E402
+
+
+def random_solution_grid(shape: GridShape, rng: random.Random) -> Grid:
+    """A pseudo-random completed grid: random first row, then the first
+    completion the solver finds."""
+    from minclue.solver import count_completions
+
+    n = shape.side
+    row0 = list(range(1, n + 1))
+    rng.shuffle(row0)
+    cells = tuple(row0) + (0,) * (shape.cell_count - n)
+    return count_completions(shape, cells, 1).completions[0]
 
 
 def clue_cells(grid: Grid, mask: int) -> tuple:

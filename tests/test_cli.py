@@ -1,7 +1,9 @@
+import argparse
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-from minclue.cli import main
+from minclue.cli import build_parser, main
 from minclue.grid import SHAPE_4X4, format_grid
 from minclue.symmetry import representatives
 
@@ -47,6 +49,28 @@ class TestUsageErrors:
     def test_unknown_command(self):
         code, _, _ = run_cli(["frobnicate"])
         assert code == 1
+
+    def test_removed_bench_command(self):
+        code, _, err = run_cli(["bench"])
+        assert code == 1
+        assert "invalid choice: 'bench'" in err
+
+
+class TestReadme:
+    def test_command_list_matches_the_parser(self):
+        """README's "Command line" block names each subcommand once, in
+        the parser's order, and no other."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        block = readme.read_text().split("## Command line", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        documented = [
+            line.split()[1] for line in block.splitlines() if line.startswith("minclue ")
+        ]
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert documented == list(sub.choices)
 
 
 class TestCatalog:
@@ -230,6 +254,18 @@ class TestSearchCli:
         assert code == 0
 
 
+    def test_config_no_grid_can_use_is_a_data_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("clique_cap.2=0\n")
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        code, out, err = run_cli(
+            ["search", str(grids), "--k", "4", "--config", str(config)]
+        )
+        assert code == 2
+        assert "clique_cap.2 must be at least 1" in err
+        assert out == ""
+
     def test_clique_degree_without_a_cap_is_a_data_error(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("clique_degrees=2,7\n")
@@ -304,6 +340,25 @@ class TestFarmCli:
         assert "k=4" in err and "--k is 3" in err
         assert not (tmp_path / "cp.txt").exists()
 
+    def test_config_no_grid_can_use_is_a_data_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("clique_cap.2=0\n")
+        code, _, err = run_cli(self.farm_argv(tmp_path, "--config", str(config)))
+        assert code == 2
+        assert "clique_cap.2 must be at least 1" in err
+        assert not (tmp_path / "cp.txt").exists()
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_batch_failing_its_retry_is_a_data_error(self, tmp_path):
+        for k in ("0", "17"):
+            argv = self.farm_argv(tmp_path, "--batch", "1", "--workers", "1")
+            argv[argv.index("--k") + 1] = k
+            (tmp_path / "cp.txt").unlink(missing_ok=True)
+            code, out, err = run_cli(argv)
+            assert code == 2
+            assert "error: k must be in 1..16" in err
+            assert out == ""
+
     def test_empty_checkpoint_is_a_data_error(self, tmp_path):
         (tmp_path / "cp.txt").write_text("")
         code, _, err = run_cli(self.farm_argv(tmp_path))
@@ -319,18 +374,3 @@ class TestFarmCli:
         )
         assert code == 2
         assert "configuration" in err
-
-
-class TestBenchCli:
-    def test_listed_backends(self, monkeypatch):
-        import minclue.bench as bench_mod
-
-        monkeypatch.setattr(
-            bench_mod, "bench_solver", lambda seconds=0.05, seed=1: {"python": 1.0}
-        )
-        monkeypatch.setattr(bench_mod, "bench_hitting", lambda seed=1: {"python": 0.1})
-        monkeypatch.setattr(bench_mod, "bench_finder", lambda seed=1: {"python": 0.1})
-        code, out, _ = run_cli(["bench"])
-        assert code == 0
-        assert "active backend" in out
-        assert "solver" in out

@@ -13,6 +13,7 @@ from minclue.hitting import EngineConfig, SelectionSchedule
 
 degrees = st.integers(1, 8)
 small = st.integers(0, 10**6)
+positive = st.integers(1, 10**6)
 
 
 @st.composite
@@ -29,16 +30,18 @@ def search_configs(draw):
         ),
     )
     clique_degrees = tuple(draw(st.lists(st.integers(2, 8), max_size=6)))
-    clique_caps = draw(st.dictionaries(st.integers(2, 8), small))
+    clique_caps = draw(st.dictionaries(st.integers(2, 8), positive))
     for degree in clique_degrees:
         if degree not in DEFAULT_CLIQUE_CAPS:  # such a degree needs its own cap
-            clique_caps.setdefault(degree, draw(small))
+            clique_caps.setdefault(degree, draw(positive))
+    # a degree-d clique needs d - 1 sets below its start
+    starts = {d: draw(st.integers(d - 1, 30)) for d in draw(st.sets(st.integers(2, 8)))}
     return SearchConfig(
         max_set_size=draw(st.none() | st.integers(1, 20)),
-        family_cap=draw(small),
+        family_cap=draw(positive),
         clique_degrees=clique_degrees,
         clique_caps=clique_caps,
-        clique_starts=draw(st.dictionaries(st.integers(2, 8), st.integers(0, 30))),
+        clique_starts=starts,
         engine=engine,
     )
 
@@ -77,6 +80,24 @@ class TestRoundTrip:
         # the degree may come before its cap in the file
         config, _ = build_search_config({"clique_degrees": "2,7", "clique_cap.7": "9"})
         assert config.clique_degrees == (2, 7) and config.clique_caps[7] == 9
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ({"family_cap": "0"}, "family_cap"),
+            ({"clique_cap.2": "0"}, "clique_cap.2"),
+            ({"clique_start.3": "1"}, "clique_start.3 must be at least 2"),
+            ({"consolidate.1": "0:64"}, "triggers and caps"),
+            ({"consolidate.2": "3:0"}, "triggers and caps"),
+        ],
+    )
+    def test_values_no_grid_can_use_refused(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            build_search_config(pairs)
+
+    def test_consolidation_checked_when_disabled_too(self):
+        with pytest.raises(ValueError, match="triggers and caps"):
+            EngineConfig(enable_consolidation=False, consolidation={1: (0, 8)})
 
     def test_comments_outside_a_run_header(self):
         text = "# family_cap=3\nfamily_cap=2\n# consolidation=0\n"

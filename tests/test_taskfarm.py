@@ -164,6 +164,31 @@ class TestRunFarm:
         assert text.count("# version=") == 1  # a resumed run appends frames only
         assert len(merge_outputs(out_path)) == 50
 
+    def test_batch_failing_once_is_recorded_on_retry(
+        self, catalogue_50, tmp_path, monkeypatch
+    ):
+        """The first search raises, in whichever forked worker runs it; the
+        marker file makes every later one go through."""
+        from minclue import taskfarm
+
+        real = taskfarm.search_catalog
+        marker = tmp_path / "failed-once"
+
+        def search_catalog(*args):
+            if not marker.exists():
+                marker.touch()
+                raise RuntimeError("transient failure")
+            return real(*args)
+
+        monkeypatch.setattr(taskfarm, "search_catalog", search_catalog)
+        cp_path, out_path = farm_paths(tmp_path, "retry")
+        summary = run_farm(catalogue_50, 4, workers=1, batch_size=30,
+                           checkpoint_path=cp_path, output_path=out_path)
+        assert marker.exists()
+        assert summary.recorded_now == 2 and summary.pending_after == 0
+        assert Checkpoint.load(cp_path).done == {0, 1}
+        assert len(merge_outputs(out_path)) == 50
+
     def test_worker_cap_env(self, catalogue_50, tmp_path, monkeypatch):
         monkeypatch.setenv("CHECKER_THREADS", "1")
         cp_path, out_path = farm_paths(tmp_path, "envcap")
