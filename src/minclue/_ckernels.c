@@ -775,6 +775,16 @@ int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
 
 enum { SEL_FULL = 0, SEL_FIRST_M = 1, SEL_FIRST_UNHIT_M = 2, SEL_FIRST_UNHIT = 3 };
 
+/* One degree's family and its rows.  Every node at the trigger level
+ * consolidates the degree to the sets still unhit there, at most `cap` of
+ * them, in slot order; `consolidations` counts those nodes, one per
+ * consolidated degree.  When cap >= m_orig every unhit set is kept in the
+ * same order and only slot numbers change, and the sole reader of slot
+ * numbers is the degree-1 SEL_FIRST_M window.  So `rebuilds` is 0 when
+ * cap >= m_orig and, for degree 1, no level from the trigger on selects by
+ * SEL_FIRST_M: the consolidation is counted but builds nothing, the
+ * subtree reads the original table, and the *_cons arrays are never
+ * allocated. */
 typedef struct {
     int degree;
     int m_orig;        /* family size before consolidation */
@@ -782,6 +792,7 @@ typedef struct {
     u64 *table_orig;   /* hit rows: [universe][words_orig] */
     u64 *masks_orig;   /* cell masks: [m_orig][2] */
     int trigger;       /* consolidation level, -1 when none */
+    int rebuilds;      /* 1 when consolidating can change what is read */
     int cap;           /* retained cap, clamped to m_orig */
     int words_cap;     /* layout stride of the consolidated table */
     int m_cons;        /* family size after the current consolidation */
@@ -820,13 +831,13 @@ typedef struct {
 /* epoch seen by the entry checks of a node at `level` */
 static inline int consolidated_pre(const DegState *st, int level)
 {
-    return st->trigger >= 0 && level > st->trigger;
+    return st->rebuilds && level > st->trigger;
 }
 
 /* epoch seen after this node ran its consolidations */
 static inline int consolidated_post(const DegState *st, int level)
 {
-    return st->trigger >= 0 && level >= st->trigger;
+    return st->rebuilds && level >= st->trigger;
 }
 
 static inline int row_all_ones(const u64 *row, int m)
@@ -836,11 +847,6 @@ static inline int row_all_ones(const u64 *row, int m)
         if (row[w] != ~(u64)0)
             return 0;
     return !rem || row[words] == (((u64)1 << rem) - 1);
-}
-
-static inline int row_bit(const u64 *row, int i)
-{
-    return (int)((row[i >> 6] >> (i & 63)) & 1);
 }
 
 /* 1 when the entry checks of a node at `level` find every set of the
@@ -897,7 +903,8 @@ static inline void scatter_cells(u64 *col, int stride, u64 cells, int base, u64 
  * word at a time up to m_orig.  Each kept slot's cell mask is scattered
  * into its bit of the new table, so the cost follows the kept sets' sizes,
  * not the universe.  Dead cells are left out: they cannot be chosen
- * below this node, so their rows are never read. */
+ * below this node, so their rows are never read.  Runs only when the
+ * degree `rebuilds` (see DegState). */
 static void consolidate_degree(Engine *eng, DegState *st, int level)
 {
     u64 *sv = st->statevec + (size_t)level * st->words_orig;
@@ -927,7 +934,20 @@ static void consolidate_degree(Engine *eng, DegState *st, int level)
     memset(sv, 0, st->words_orig * sizeof(u64));
 }
 
-/* Index of the degree-1 set to draw from, or -1 to cut the branch. */
+/* Index of the degree-1 set to draw from, or -1 to cut the branch.  The
+ * unhit slots are the set bits of the state row's complement, taken a word
+ * at a time in slot order:
+ *   SEL_FIRST_UNHIT    the first unhit slot;
+ *   SEL_FULL           min effective size (live cells) over all of them;
+ *   SEL_FIRST_UNHIT_M  min effective size over the first `param` of them;
+ *   SEL_FIRST_M        min effective size over those below slot `param`,
+ *                      else the first unhit slot at or past it.
+ * Ties go to the lower slot; a set with no live cell ends the scan and
+ * cuts the branch (except under SEL_FIRST_UNHIT).  Slots past m in the
+ * last word read as unhit, so every mode stops at the first unhit slot at
+ * or past `end`: m, or the SEL_FIRST_M window.  A node selects only while
+ * some set is unhit, so when no slot below `end` is, the first one past
+ * it is a set of the family. */
 static int select_slot(Engine *eng, int level)
 {
     DegState *st = eng->deg1;
@@ -936,60 +956,31 @@ static int select_slot(Engine *eng, int level)
     int m = cons ? st->m_cons : st->m_orig;
     const u64 *masks = cons ? st->masks_cons : st->masks_orig;
     int mode = eng->mode_code[level], param = eng->mode_param[level];
+    int end = mode == SEL_FIRST_M && param < m ? param : m;
     u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
-    int best = -1, best_eff = 1 << 30;
-    if (mode == SEL_FIRST_UNHIT) {
-        for (int i = 0; i < m; ++i)
-            if (!row_bit(sv, i))
+    int best = -1, best_eff = 1 << 30, seen = 0;
+    for (int w = 0; (w << 6) < m; ++w) {
+        u64 unhit = ~sv[w];
+        while (unhit) {
+            int i = (w << 6) + low_index64(unhit), eff;
+            unhit &= unhit - 1;
+            if (i >= end) /* best_eff > 0 here */
+                return best >= 0 ? best : i;
+            if (mode == SEL_FIRST_UNHIT)
                 return i;
-        return -1;
-    }
-    if (mode == SEL_FIRST_M) {
-        /* min effective size among the first `param` slots; the first
-         * unhit slot beyond them when none of them is unhit */
-        int window = param < m ? param : m, fallback = -1;
-        for (int i = 0; i < m; ++i) {
-            int eff;
-            if (row_bit(sv, i))
-                continue;
-            if (fallback < 0)
-                fallback = i;
-            if (i >= window) {
-                if (best >= 0)
-                    break;
-                continue;
-            }
             eff = popcount64(masks[i * 2] & alive_lo)
                   + popcount64(masks[i * 2 + 1] & alive_hi);
             if (eff < best_eff) {
                 best_eff = eff;
                 best = i;
                 if (eff == 0)
-                    break;
-            }
-        }
-        if (best < 0)
-            return fallback;
-    } else {
-        /* SEL_FULL: over all unhit slots; SEL_FIRST_UNHIT_M: over the
-         * first `param` unhit slots */
-        int seen = 0;
-        for (int i = 0; i < m; ++i) {
-            int eff;
-            if (row_bit(sv, i))
-                continue;
-            eff = popcount64(masks[i * 2] & alive_lo)
-                  + popcount64(masks[i * 2 + 1] & alive_hi);
-            if (eff < best_eff) {
-                best_eff = eff;
-                best = i;
-                if (eff == 0)
-                    break;
+                    goto done;
             }
             if (mode == SEL_FIRST_UNHIT_M && ++seen == param)
-                break;
+                goto done;
         }
     }
+done:
     if (best_eff == 0) {
         eng->selection_cuts += 1;
         return -1;
@@ -1087,7 +1078,8 @@ static int recurse(Engine *eng, int level)
         return MC_OK;
     for (int di = 0; di < eng->ndeg; ++di) {
         if (eng->deg[di].trigger == level) {
-            consolidate_degree(eng, &eng->deg[di], level);
+            if (eng->deg[di].rebuilds)
+                consolidate_degree(eng, &eng->deg[di], level);
             eng->consolidations += 1;
         }
     }
@@ -1177,7 +1169,11 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
             if (mask_bit(lo, hi, c))
                 st->table_orig[(size_t)c * words + (i >> 6)] |= (u64)1 << (i & 63);
     }
-    if (trigger >= 0) {
+    st->rebuilds = trigger >= 0 && cap < m;
+    if (trigger >= 0 && degree == 1)
+        for (int level = trigger; level < eng->k; ++level)
+            st->rebuilds |= eng->mode_code[level] == SEL_FIRST_M;
+    if (st->rebuilds) {
         st->cap = m == 0 ? 1 : (cap < m ? cap : m);
         if (st->cap < 1)
             st->cap = 1;

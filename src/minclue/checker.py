@@ -78,7 +78,11 @@ class SearchConfig:
                     f"give one with clique_cap.{degree}"
                 )
         # values no grid can search with: build_cliques refuses such caps
-        # and starts, and a family cap below 1 keeps no unavoidable set
+        # and starts, a family cap below 1 keeps no unavoidable set, and no
+        # unavoidable set has fewer than 4 cells, so a smaller max_set_size
+        # finds none and the engine would emit every k-subset of the board
+        if self.max_set_size is not None and self.max_set_size < 4:
+            raise ValueError("max_set_size must be at least 4")
         if self.family_cap < 1:
             raise ValueError("family_cap must be at least 1")
         for degree, cap in self.clique_caps.items():

@@ -249,8 +249,13 @@ def build_cliques(
                 return True
         return False
 
-    if m > start:
-        scan(0, m, 0)
+    try:
+        if m > start:
+            scan(0, m, 0)
+    finally:
+        # scan reaches itself through its closure; without this the cycle
+        # keeps out and masks alive until a cyclic collection
+        del scan
     sets = tuple(
         UnavoidableSet(CellSet(shape, mask), degree) for mask in out
     )

@@ -266,6 +266,21 @@ class TestSearchCli:
         assert "clique_cap.2 must be at least 1" in err
         assert out == ""
 
+    def test_max_set_size_below_four_is_a_data_error(self, tmp_path):
+        # no unavoidable set is that small: the run would emit every
+        # k-subset of the board
+        config = tmp_path / "run.cfg"
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        for value in ("3", "0", "-3"):
+            config.write_text(f"max_set_size={value}\n")
+            code, out, err = run_cli(
+                ["search", str(grids), "--k", "4", "--config", str(config)]
+            )
+            assert code == 2
+            assert "max_set_size must be at least 4" in err
+            assert out == ""
+
     def test_clique_degree_without_a_cap_is_a_data_error(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("clique_degrees=2,7\n")
@@ -346,6 +361,15 @@ class TestFarmCli:
         code, _, err = run_cli(self.farm_argv(tmp_path, "--config", str(config)))
         assert code == 2
         assert "clique_cap.2 must be at least 1" in err
+        assert not (tmp_path / "cp.txt").exists()
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_max_set_size_below_four_is_a_data_error(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("max_set_size=3\n")
+        code, _, err = run_cli(self.farm_argv(tmp_path, "--config", str(config)))
+        assert code == 2
+        assert "max_set_size must be at least 4" in err
         assert not (tmp_path / "cp.txt").exists()
         assert not (tmp_path / "out.txt").exists()
 

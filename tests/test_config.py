@@ -37,7 +37,7 @@ def search_configs(draw):
     # a degree-d clique needs d - 1 sets below its start
     starts = {d: draw(st.integers(d - 1, 30)) for d in draw(st.sets(st.integers(2, 8)))}
     return SearchConfig(
-        max_set_size=draw(st.none() | st.integers(1, 20)),
+        max_set_size=draw(st.none() | st.integers(4, 20)),
         family_cap=draw(positive),
         clique_degrees=clique_degrees,
         clique_caps=clique_caps,
@@ -89,6 +89,7 @@ class TestRoundTrip:
             ({"clique_start.3": "1"}, "clique_start.3 must be at least 2"),
             ({"consolidate.1": "0:64"}, "triggers and caps"),
             ({"consolidate.2": "3:0"}, "triggers and caps"),
+            ({"max_set_size": "3"}, "max_set_size must be at least 4"),
         ],
     )
     def test_values_no_grid_can_use_refused(self, pairs, message):

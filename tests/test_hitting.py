@@ -497,6 +497,103 @@ class TestConsolidationScatter:
         assert sorted(plain) == oracle and base["consolidations"] == 0
 
 
+class TestSkippedRebuilds:
+    """A consolidation that keeps every unhit set keeps them in slot order
+    and only renumbers them.  The one reader of slot numbers is a degree-1
+    SEL_FIRST_M window at or after the trigger; without one, the run equals
+    the run without the consolidation except for the consolidation count.
+    The reference always rebuilds, so each case checks the native skip."""
+
+    # sorted by size: A = {0, 1}, B = {1, 4, 5}, C = {2, 3, 6}, D = {0, 7, 8}
+    SETS = [{0, 1}, {1, 4, 5}, {2, 3, 6}, {0, 7, 8}]
+    # SEL_FULL at level 0, a width-2 SEL_FIRST_M window at level 1
+    WINDOW = SelectionSchedule(full_through=1, window_width=2)
+
+    def runs(self, backends, instance, consolidation, selection=SelectionSchedule()):
+        """(emitted, stats) with `consolidation`, then without any."""
+        return [
+            run_each_backend(
+                backends, instance, EngineConfig(consolidation=c, selection=selection)
+            )
+            for c in (consolidation, {})
+        ]
+
+    def test_window_at_the_trigger_reads_renumbered_slots(self, backends):
+        """Under cell 1, A and B are hit.  Consolidated at level 1 (cap 4,
+        the family's size), the window holds C and D and picks D, whose
+        cell 0 is dead; over the original slots it holds A and B, so it
+        falls back to C."""
+        instance = make_instance(10, 3, {1: self.SETS})
+        (got, stats), (plain, base) = self.runs(
+            backends, instance, {1: (1, 4)}, self.WINDOW
+        )
+        assert sorted(got) == sorted(plain) == brute_force_hitting_sets(instance)
+        assert got[:9] == plain[:9]
+        assert got[9:] == [(1, 2, 7), (1, 3, 7), (1, 6, 7),
+                           (1, 2, 8), (1, 3, 8), (1, 6, 8)]
+        assert plain[9:] == [(1, 2, 7), (1, 2, 8), (1, 3, 7),
+                             (1, 3, 8), (1, 6, 7), (1, 6, 8)]
+        assert (stats["nodes"], stats["consolidations"]) == (23, 2)
+        assert base["nodes"] == 24
+
+    def test_window_before_the_trigger(self, backends):
+        """The same family consolidated at level 2, after the window."""
+        instance = make_instance(10, 3, {1: self.SETS})
+        (got, stats), (plain, base) = self.runs(
+            backends, instance, {1: (2, 4)}, self.WINDOW
+        )
+        assert got == plain
+        assert stats["consolidations"] == 6
+        assert dict(stats, consolidations=0) == base
+
+    @pytest.mark.parametrize("cap", [2, 1])
+    def test_degree_two_family_at_and_over_its_cap(self, backends, cap):
+        """Degree 2 holds X = {0, 2, 6, 7} and Y = {0, 3, 8, 9}, checked at
+        level 2 and consolidated at level 1.  Under cell 1 both are unhit
+        there: cap 2 keeps both, so the run is the plain one; cap 1 keeps
+        X only, so the check no longer cuts the child through cell 2."""
+        instance = make_instance(
+            10, 3,
+            {1: [{0, 1}, {2, 3}, {4, 5}], 2: [{0, 2, 6, 7}, {0, 3, 8, 9}]},
+        )
+        (got, stats), (plain, base) = self.runs(backends, instance, {2: (1, cap)})
+        assert plain == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5)]
+        assert base["degree_cuts"] == {2: 2}
+        assert stats["consolidations"] == 2
+        if cap == 2:
+            assert got == plain
+            assert dict(stats, consolidations=0) == base
+        else:
+            assert got == plain + [(1, 2, 4), (1, 2, 5)]
+            assert stats["degree_cuts"] == {2: 1}
+
+    def test_pinned_nine_by_nine_counters(self, native_required, monkeypatch):
+        """search_grid at k=12, max_set_size=8 on a pinned grid: 45
+        degree-1 sets under cap 128 and 140 / 509 / 1146 cliques of degrees
+        2-4 under cap 1536 skip their rebuilds; the 1856 of degree 5 do
+        not."""
+        from minclue import checker
+        from minclue.grid import parse_grid
+        from test_acceptance import PINNED_9X9
+
+        runs = []
+
+        def engine(instance, config, sink=None, stats=None):
+            runs.append({})
+            return enumerate_hitting_sets(instance, config, sink, runs[-1])
+
+        monkeypatch.setattr(hitting, "kernels", native_required)
+        monkeypatch.setattr(checker, "enumerate_hitting_sets", engine)
+        grid = parse_grid(PINNED_9X9[0])
+        checker.search_grid(grid, 12, checker.SearchConfig(max_set_size=8))
+        [stats] = runs
+        assert stats["nodes"] == 88678
+        assert stats["degree_cuts"] == {2: 1669, 3: 2883, 4: 2207, 5: 62051}
+        assert stats["consolidations"] == 15093
+        assert stats["selection_cuts"] == 0
+        assert stats["emitted"] == 3
+
+
 class TestEarlyChildCut:
     """A child that its degree checks cut is counted in its parent; one
     whose degree-1 row is all hit, or that sits at level k, is not cut."""

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import combinations
@@ -273,6 +274,21 @@ class TestBuildCliques:
         first = cliques.sets[0].cells.mask
         # loop order: i = start..m-1 ascending, j = start-1..i-1
         assert first == (1 << 1) | (1 << 0)
+
+    @pytest.mark.parametrize("start", [1, 8])
+    def test_no_reference_cycle_left(self, start):
+        """A call leaves nothing for the cyclic collector, so the cliques it
+        built are freed as soon as the caller drops them; start 8 builds
+        none."""
+        family = self._family([1 << i for i in range(8)])
+        gc.collect()
+        gc.disable()
+        try:
+            cliques = build_cliques(family, 2, start=start, cap=10)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(cliques) == (10 if start == 1 else 0)
 
     def test_start_validation(self):
         family = self._family([1, 2, 4])
