@@ -167,7 +167,7 @@ def search_grid(
             minimal_found,
         )
 
-    families = {1: tuple(working.masks())}
+    families = {1: working.masks}
     for degree in config.clique_degrees:
         if degree >= 2 and degree <= k:
             cliques = build_cliques(
@@ -177,7 +177,7 @@ def search_grid(
                 config.clique_caps[degree],
             )
             if len(cliques):
-                families[degree] = tuple(cliques.masks())
+                families[degree] = cliques.masks
 
     instance = HittingInstance(shape.cell_count, k, families)
 

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .bitrows import bits_ascending
 from .checker import GridSearchError, SearchConfig, format_report, search_grid
 from .config import config_header_lines, load_config_file
 from .errors import (
@@ -171,8 +172,8 @@ def cmd_unavoidable(args) -> int:
         grid = parse_grid(line, shape)
         family = find_minimal_unavoidable(grid, args.max_size)
         print(f"# grid {format_grid(grid)} sets {len(family)}")
-        for s in family.sets:
-            print(",".join(str(c) for c in s.cells))
+        for mask in family.masks:
+            print(",".join(map(str, bits_ascending(mask))))
     return 0
 
 
@@ -186,8 +187,8 @@ def cmd_cliques(args) -> int:
             start = default_clique_start(args.k, args.degree)
         cliques = build_cliques(family, args.degree, start, args.cap)
         print(f"# grid {format_grid(grid)} cliques {len(cliques)}")
-        for s in cliques.sets:
-            cells = ",".join(str(c) for c in s.cells)
+        for mask in cliques.masks:
+            cells = ",".join(map(str, bits_ascending(mask)))
             print(f"{args.degree}\t{cells}")
     return 0
 

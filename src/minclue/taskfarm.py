@@ -84,6 +84,12 @@ class Checkpoint:
                 cp.done.add(int(batch_id))
         except ValueError:
             raise CheckpointMismatchError(f"malformed checkpoint {path}") from None
+        outside = sorted(b for b in cp.done if not 0 <= b < cp.n_batches)
+        if outside:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} marks batches {outside} done, outside its"
+                f" plan of {cp.n_batches} batches"
+            )
         return cp
 
 

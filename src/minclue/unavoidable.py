@@ -1,6 +1,11 @@
 """Minimal unavoidable sets of a solution grid, degree verification, and
 clique-built higher-degree sets.
 
+A family holds the sets of one degree as a tuple of int cell masks (bit i
+is cell i), the form the hitting engine takes.  The one-set checks
+`is_unavoidable`, `is_minimal` and `verify_degree` take a `CellSet`, whose
+shape they check against the grid's.
+
 A subset X of a grid is unavoidable when deleting it leaves a puzzle with
 multiple completions; every proper puzzle must then take at least one clue
 from X.  Minimal sets are found by a digit-subset search: for each small
@@ -26,55 +31,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ._pykernels import CONFIRM_AMBIGUOUS
 from .backend import kernels
+from .bitrows import bits_ascending
 from .errors import BudgetExceededError
 from .grid import CellSet, Grid
 from .solver import count_completions
 
 
 @dataclass(frozen=True)
-class UnavoidableSet:
-    cells: CellSet
-    degree: int = 1
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-
-@dataclass(frozen=True)
 class UnavoidableFamily:
-    """Collection of unavoidable sets of one degree.
+    """Unavoidable sets of one degree, each an int cell mask (bit i is
+    cell i).
 
-    Degree-1 families are ordered by ascending size (selection depends on
-    it); clique families keep their enumeration order.
+    Degree-1 families are ordered by ascending size (truncation and
+    selection depend on it); clique families keep their enumeration order.
     """
 
     degree: int
-    sets: Tuple[UnavoidableSet, ...]
-    cap: Optional[int] = None
+    masks: Tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.degree == 1:
-            sizes = [len(s) for s in self.sets]
+            sizes = [m.bit_count() for m in self.masks]
             if sizes != sorted(sizes):
                 raise ValueError(
                     "degree-1 family must be ordered by ascending size"
                 )
-        if any(s.degree != self.degree for s in self.sets):
-            raise ValueError("all sets in a family share its degree")
 
     def __len__(self) -> int:
-        return len(self.sets)
-
-    def masks(self) -> List[int]:
-        return [s.cells.mask for s in self.sets]
+        return len(self.masks)
 
     def truncated(self, cap: int) -> "UnavoidableFamily":
         """Keep the `cap` smallest sets under the deterministic order."""
-        return UnavoidableFamily(self.degree, self.sets[:cap], cap)
+        return UnavoidableFamily(self.degree, self.masks[:cap])
 
 
 def puzzle_cells_without(grid: Grid, removed_mask: int) -> tuple:
@@ -108,10 +100,6 @@ def is_minimal(grid: Grid, cells: CellSet) -> bool:
     return True
 
 
-def _sort_key(shape, mask: int):
-    return (mask.bit_count(), tuple(CellSet(shape, mask)))
-
-
 def find_minimal_unavoidable(grid: Grid, max_size: int = 12) -> UnavoidableFamily:
     """All minimal unavoidable sets of the grid with at most `max_size`
     cells, ordered by ascending size, ties by ascending cell sequence."""
@@ -143,11 +131,12 @@ def find_minimal_unavoidable(grid: Grid, max_size: int = 12) -> UnavoidableFamil
             )
 
     kept: List[int] = []
-    for mask in sorted(candidates, key=lambda m: _sort_key(shape, m)):
+    for mask in sorted(
+        candidates, key=lambda m: (m.bit_count(), tuple(bits_ascending(m)))
+    ):
         if not any(k & mask == k for k in kept):
             kept.append(mask)
-    sets = tuple(UnavoidableSet(CellSet(shape, m), 1) for m in kept)
-    return UnavoidableFamily(1, sets)
+    return UnavoidableFamily(1, tuple(kept))
 
 
 def recheck_family(grid: Grid, family: UnavoidableFamily) -> int:
@@ -157,19 +146,19 @@ def recheck_family(grid: Grid, family: UnavoidableFamily) -> int:
     The complements are confirmed in one `kernels.confirm` call per
     complement size, and a set passes only on CONFIRM_AMBIGUOUS: a
     completion other than the grid, checked valid and extending the
-    clues.  A set covering the
-    whole grid has no clues left to confirm and goes through
-    `is_unavoidable`.
+    clues.  A set covering the whole grid has no clues left to confirm and
+    goes through `is_unavoidable`.  A mask with a bit outside the grid's
+    cells raises ValueError.
     """
     shape = grid.shape
     by_size: Dict[int, bytearray] = {}
     failures = 0
-    for s in family.sets:
-        if s.cells.shape != shape:
-            raise ValueError("cell set shape differs from grid shape")
-        clues = s.cells.complement()
+    for mask in family.masks:
+        if mask >> shape.cell_count:
+            raise ValueError("mask has bits outside the grid's cells")
+        clues = tuple(bits_ascending(shape.universe_mask & ~mask))
         if not clues:
-            failures += not is_unavoidable(grid, s.cells)
+            failures += not is_unavoidable(grid, CellSet(shape, mask))
         else:
             by_size.setdefault(len(clues), bytearray()).extend(clues)
     digits = bytes(grid.digits)
@@ -228,12 +217,8 @@ def build_cliques(
         raise ValueError("start must be at least degree - 1")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    masks = family.masks()
+    masks = family.masks
     m = len(masks)
-    shape = None
-    for s in family.sets:
-        shape = s.cells.shape
-        break
     out: List[int] = []
 
     def scan(level: int, upper: int, acc: int) -> bool:
@@ -256,7 +241,4 @@ def build_cliques(
         # scan reaches itself through its closure; without this the cycle
         # keeps out and masks alive until a cyclic collection
         del scan
-    sets = tuple(
-        UnavoidableSet(CellSet(shape, mask), degree) for mask in out
-    )
-    return UnavoidableFamily(degree, sets, cap)
+    return UnavoidableFamily(degree, tuple(out))

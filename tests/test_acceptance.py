@@ -198,13 +198,14 @@ class TestCriterion6FinderCompleteness:
                 key=lambda m: (bin(m).count("1"), tuple(CellSet(SHAPE_4X4, m))),
             )
             family = find_minimal_unavoidable(rep, 8)
-            assert [s.cells.mask for s in family.sets] == oracle
-            for s in family.sets:
-                assert is_unavoidable(rep, s.cells)
-                assert is_minimal(rep, s.cells)
+            assert list(family.masks) == oracle
+            for mask in family.masks:
+                cells = CellSet(rep.shape, mask)
+                assert is_unavoidable(rep, cells)
+                assert is_minimal(rep, cells)
                 digit_counts = {}
                 unit_counts = {}
-                for c in s.cells:
+                for c in cells:
                     digit_counts[rep.digits[c]] = digit_counts.get(rep.digits[c], 0) + 1
                     for kind, of in enumerate((cell_row, cell_col, cell_box)):
                         key = (kind, of(rep.shape, c))

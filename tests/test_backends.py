@@ -248,7 +248,7 @@ class TestFinderParity:
         families = {}
         for name, kern in backends.items():
             monkeypatch.setattr(unavoidable, "kernels", kern)
-            families[name] = find_minimal_unavoidable(grid, max_size).masks()
+            families[name] = find_minimal_unavoidable(grid, max_size).masks
         assert families["native"] == families["python"]
         assert families["native"]
 

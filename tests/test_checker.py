@@ -16,12 +16,11 @@ from minclue.checker import (
     search_catalog,
     search_grid,
 )
-from minclue.grid import SHAPE_4X4, SHAPE_9X9, CellSet
+from minclue.grid import SHAPE_4X4, SHAPE_9X9
 from minclue.solver import count_completions
 from minclue.symmetry import apply, apply_cells, random_transformation
 from minclue.unavoidable import (
     UnavoidableFamily,
-    UnavoidableSet,
     find_minimal_unavoidable,
     recheck_family,
 )
@@ -226,9 +225,7 @@ class TestSafetyPath:
         found = find_minimal_unavoidable(grid, 8)
         family = UnavoidableFamily(
             1,
-            (UnavoidableSet(CellSet(grid.shape, 1 << 5)),)
-            + found.sets
-            + (UnavoidableSet(CellSet.full(grid.shape)),),
+            (1 << 5,) + found.masks + (grid.shape.universe_mask,),
         )
         monkeypatch.setattr(checker, "find_minimal_unavoidable", lambda g, m: family)
         for name, kern in backends.items():

@@ -1,11 +1,16 @@
 import argparse
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from test_acceptance import PINNED_9X9
 from minclue.cli import build_parser, main
 from minclue.grid import SHAPE_4X4, format_grid
 from minclue.symmetry import representatives
+from minclue.taskfarm import run_farm
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -152,6 +157,34 @@ class TestCliquesCli:
             assert degree == "2"
             values = [int(tok) for tok in cells.split(",")]
             assert values == sorted(values)
+
+
+class TestFamilyOutputPinned:
+    """sha256 of the stdout of the two family commands on a 9x9 and a
+    6x6 grid: their output is pinned byte for byte."""
+
+    SIX = "362415145236214563536124423651651342"  # random_solution_grid, seed 6
+    UNAVOIDABLE = ["unavoidable", "--max-size", "8"]
+    CLIQUES = ["cliques", "--degree", "3", "--max-size", "8", "--start", "2",
+               "--cap", "200"]
+
+    @pytest.mark.parametrize(
+        "grid, argv, digest",
+        [
+            (PINNED_9X9[0], UNAVOIDABLE,
+             "e692d11404a5df44c047d63bcfbda61220900c3fcac001ab8fb8b305a3a2b2bb"),
+            (PINNED_9X9[0], CLIQUES,
+             "a4a604a2ecb824b12aa25b7050f2588eca0193ad13503a540e9d619295a3978f"),
+            (SIX, UNAVOIDABLE,
+             "90628def9d4403ab42e547be71398b99a7bf3224242dd5a0b442a9b934e736bc"),
+            (SIX, CLIQUES,
+             "2c348f19009ba71d1a497c435fc25a5971684fbb806f9b40d9a6f25793d0dc9b"),
+        ],
+    )
+    def test_stdout_digest(self, grid, argv, digest, monkeypatch):
+        code, out, _ = run_cli(argv, stdin_text=grid + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestHitsetCli:
@@ -388,6 +421,29 @@ class TestFarmCli:
         code, _, err = run_cli(self.farm_argv(tmp_path))
         assert code == 2
         assert "empty" in err and "Traceback" not in err
+
+    def test_done_batch_outside_the_plan_is_a_data_error(self, tmp_path):
+        """Six grids in batches of two make a plan of three; a checkpoint
+        that also marks batches 99 and -3 done is refused untouched."""
+        catalogue = tmp_path / "cat.txt"
+        reps = representatives(SHAPE_4X4) * 3
+        catalogue.write_text("".join(format_grid(r) + "\n" for r in reps))
+        cp_path = tmp_path / "cp.txt"
+        run_farm(
+            catalogue, 3, batch_size=2, checkpoint_path=cp_path,
+            output_path=tmp_path / "out.txt", max_batches=1,
+        )
+        with open(cp_path, "a", encoding="ascii") as fh:
+            fh.write("done 99\ndone -3\n")
+        before = cp_path.read_bytes()
+        code, out, err = run_cli(
+            ["farm", str(catalogue), "--k", "3", "--batch", "2",
+             "--checkpoint", str(cp_path), "--out", str(tmp_path / "out.txt")]
+        )
+        assert code == 2
+        assert "outside its plan of 3 batches" in err
+        assert out == ""
+        assert cp_path.read_bytes() == before
 
     def test_resume_with_other_config_is_a_data_error(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -37,8 +37,8 @@ class TestCountCompletions:
         rng = random.Random(2)
         grid = random_solution_grid(SHAPE_4X4, rng)
         family = find_minimal_unavoidable(grid, 4)
-        four = next(s for s in family.sets if len(s) == 4)
-        cells = clue_cells(grid, grid.shape.universe_mask ^ four.cells.mask)
+        four = next(m for m in family.masks if m.bit_count() == 4)
+        cells = clue_cells(grid, grid.shape.universe_mask ^ four)
         outcome = count_completions(grid.shape, cells, 2)
         assert outcome.count == 2
         # cross-check by exhaustively filling the four blanks

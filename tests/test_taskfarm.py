@@ -93,6 +93,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize("batch_id", [-1, 7])
+    def test_done_batch_outside_the_plan_refused(self, tmp_path, batch_id):
+        path = tmp_path / "cp.txt"
+        path.write_text(
+            f"catalog {'ab' * 32} k 4 batches 7 config {'cd' * 32}\n"
+            f"done 0\ndone {batch_id}\n"
+        )
+        with pytest.raises(CheckpointMismatchError, match="outside its plan"):
+            Checkpoint.load(path)
+
 
 class TestRunFarm:
     def test_clean_run_records_every_batch(self, catalogue_50, tmp_path):

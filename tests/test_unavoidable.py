@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_count, clue_cells, random_solution_grid
 from test_acceptance import PINNED_9X9
@@ -21,7 +23,6 @@ from minclue.grid import (
 from minclue.solver import count_completions
 from minclue.unavoidable import (
     UnavoidableFamily,
-    UnavoidableSet,
     build_cliques,
     default_clique_start,
     find_minimal_unavoidable,
@@ -68,6 +69,46 @@ def oracle_families(reps_4x4):
     return {rep.digits: oracle_family_4x4(rep) for rep in reps_4x4}
 
 
+@st.composite
+def clique_inputs(draw):
+    """A degree-1 family of small masks over at most 20 cells, so that
+    disjoint sets are common, with a clique degree, start and cap."""
+    n_cells = draw(st.integers(4, 20))
+    cell_sets = draw(
+        st.lists(
+            st.sets(st.integers(0, n_cells - 1), min_size=1, max_size=4),
+            max_size=12,
+        )
+    )
+    masks = sorted(
+        (sum(1 << c for c in cells) for cells in cell_sets), key=int.bit_count
+    )
+    degree = draw(st.integers(2, 4))
+    start = draw(st.integers(degree - 1, max(degree - 1, len(masks) + 1)))
+    cap = draw(st.integers(1, 50))
+    return masks, degree, start, cap
+
+
+def oracle_cliques(masks, degree, start, cap):
+    """The first `cap` index tuples i0 > i1 > ... with i_j >= start - j and
+    pairwise disjoint masks, in lexicographic order, as mask unions."""
+    tuples = []
+    for combo in combinations(range(len(masks)), degree):
+        idx = combo[::-1]
+        if any(i < start - j for j, i in enumerate(idx)):
+            continue
+        if any(masks[a] & masks[b] for a, b in combinations(idx, 2)):
+            continue
+        tuples.append(idx)
+    out = []
+    for idx in sorted(tuples)[:cap]:
+        union = 0
+        for i in idx:
+            union |= masks[i]
+        out.append(union)
+    return out
+
+
 class TestIsUnavoidable:
     def test_all_cells(self):
         assert is_unavoidable(GRID_4X4, CellSet.full(SHAPE_4X4))
@@ -80,33 +121,34 @@ class TestIsUnavoidable:
         rng = random.Random(11)
         grid = random_solution_grid(SHAPE_4X4, rng)
         family = find_minimal_unavoidable(grid, 4)
-        rect = next(s for s in family.sets if len(s) == 4)
-        assert is_unavoidable(grid, rect.cells)
+        rect = next(m for m in family.masks if m.bit_count() == 4)
+        assert is_unavoidable(grid, CellSet(SHAPE_4X4, rect))
 
 
 class TestIsMinimal:
     def test_size_four_rectangle(self):
         family = find_minimal_unavoidable(GRID_4X4, 4)
-        assert family.sets
-        for s in family.sets:
-            assert is_minimal(GRID_4X4, s.cells)
+        assert family.masks
+        for mask in family.masks:
+            cells = CellSet(SHAPE_4X4, mask)
+            assert is_minimal(GRID_4X4, cells)
             # one-cell removals leave uniquely completable puzzles
-            for c in s.cells:
-                rest = CellSet(SHAPE_4X4, s.cells.mask ^ (1 << c))
+            for c in cells:
+                rest = CellSet(SHAPE_4X4, mask ^ (1 << c))
                 assert not is_unavoidable(GRID_4X4, rest)
 
     def test_union_of_disjoint_sets_not_minimal(self):
         family = find_minimal_unavoidable(GRID_4X4, 8)
         pair = None
-        for a in family.sets:
-            for b in family.sets:
-                if a != b and a.cells.isdisjoint(b.cells):
+        for a in family.masks:
+            for b in family.masks:
+                if a != b and not a & b:
                     pair = (a, b)
                     break
             if pair:
                 break
         assert pair is not None
-        union = pair[0].cells | pair[1].cells
+        union = CellSet(SHAPE_4X4, pair[0] | pair[1])
         assert is_unavoidable(GRID_4X4, union)
         assert not is_minimal(GRID_4X4, union)
 
@@ -120,22 +162,23 @@ class TestFinderCompleteness4x4:
     ):
         for rep in reps_4x4:
             family = find_minimal_unavoidable(rep, 8)
-            got = [s.cells.mask for s in family.sets]
+            got = list(family.masks)
             assert got == oracle_families[rep.digits]
 
     def test_structural_lemmas_hold(self, reps_4x4):
         for rep in reps_4x4:
             family = find_minimal_unavoidable(rep, 8)
-            for s in family.sets:
-                assert is_unavoidable(rep, s.cells)
-                assert is_minimal(rep, s.cells)
+            for mask in family.masks:
+                cells = CellSet(rep.shape, mask)
+                assert is_unavoidable(rep, cells)
+                assert is_minimal(rep, cells)
                 counts = {}
-                for c in s.cells:
+                for c in cells:
                     counts[rep.digits[c]] = counts.get(rep.digits[c], 0) + 1
                 assert all(v >= 2 for v in counts.values())
                 for index_of in (cell_row, cell_col, cell_box):
                     per_unit = {}
-                    for c in s.cells:
+                    for c in cells:
                         u = index_of(rep.shape, c)
                         per_unit[u] = per_unit.get(u, 0) + 1
                     assert all(v >= 2 for v in per_unit.values())
@@ -143,11 +186,19 @@ class TestFinderCompleteness4x4:
     def test_family_order_and_recheck(self, reps_4x4):
         for rep in reps_4x4:
             family = find_minimal_unavoidable(rep, 8)
-            sizes = [len(s) for s in family.sets]
+            sizes = [m.bit_count() for m in family.masks]
             assert sizes == sorted(sizes)
-            keys = [(len(s), tuple(s.cells)) for s in family.sets]
+            keys = [
+                (m.bit_count(), tuple(CellSet(rep.shape, m))) for m in family.masks
+            ]
             assert keys == sorted(keys)
             assert recheck_family(rep, family) == 0
+
+    @pytest.mark.parametrize("mask", [1 << 16, -1, (1 << 17) - 1])
+    def test_recheck_refuses_bits_outside_the_grid(self, mask):
+        family = UnavoidableFamily(1, (mask,))
+        with pytest.raises(ValueError, match="outside"):
+            recheck_family(GRID_4X4, family)
 
 
 class TestNineByNine:
@@ -160,7 +211,7 @@ class TestNineByNine:
         grid = count_completions(SHAPE_9X9, cells, 1).completions[0]
         family = find_minimal_unavoidable(grid, 12)
         target = CellSet.from_cells(SHAPE_9X9, [0, 4, 9, 13]).mask
-        assert target in [s.cells.mask for s in family.sets]
+        assert target in family.masks
 
     def test_band_twice_property(self, nine_families, reps_4x4):
         """Some band or stack holds one digit twice in every minimal set
@@ -183,11 +234,11 @@ class TestNineByNine:
             return False
 
         for rep in reps_4x4:
-            for s in find_minimal_unavoidable(rep, 8).sets:
-                assert holds(rep, s.cells)
+            for mask in find_minimal_unavoidable(rep, 8).masks:
+                assert holds(rep, CellSet(rep.shape, mask))
         for grid, family in nine_families:
-            for s in family.sets:
-                assert holds(grid, s.cells)
+            for mask in family.masks:
+                assert holds(grid, CellSet(grid.shape, mask))
 
     @pytest.mark.parametrize(
         "grid_text, count, digest",
@@ -205,7 +256,7 @@ class TestNineByNine:
         blanked-board search found them for every digit-subset size:
         count and sha256 of the comma-joined masks in family order."""
         family = find_minimal_unavoidable(parse_grid(grid_text), 12)
-        text = ",".join(str(m) for m in family.masks())
+        text = ",".join(str(m) for m in family.masks)
         assert len(family) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -217,25 +268,25 @@ class TestNineByNine:
 class TestVerifyDegree:
     def test_degree_one_reduces_to_is_unavoidable(self):
         family = find_minimal_unavoidable(GRID_4X4, 4)
-        s = family.sets[0]
-        assert verify_degree(GRID_4X4, s.cells, 1)
+        s = CellSet(SHAPE_4X4, family.masks[0])
+        assert verify_degree(GRID_4X4, s, 1)
 
     def test_disjoint_union_is_degree_two(self):
         family = find_minimal_unavoidable(GRID_4X4, 8)
         a, b = None, None
-        for x in family.sets:
-            for y in family.sets:
-                if x != y and x.cells.isdisjoint(y.cells):
+        for x in family.masks:
+            for y in family.masks:
+                if x != y and not x & y:
                     a, b = x, y
                     break
             if a:
                 break
-        union = a.cells | b.cells
+        union = CellSet(SHAPE_4X4, a | b)
         assert verify_degree(GRID_4X4, union, 2)
 
     def test_single_minimal_set_is_not_degree_two(self):
         family = find_minimal_unavoidable(GRID_4X4, 4)
-        assert not verify_degree(GRID_4X4, family.sets[0].cells, 2)
+        assert not verify_degree(GRID_4X4, CellSet(SHAPE_4X4, family.masks[0]), 2)
 
     def test_budget_refusal_is_not_a_verdict(self):
         with pytest.raises(BudgetExceededError):
@@ -244,11 +295,9 @@ class TestVerifyDegree:
 
 class TestBuildCliques:
     def _family(self, masks):
-        sets = tuple(
-            UnavoidableSet(CellSet(SHAPE_9X9, m), 1)
-            for m in sorted(masks, key=lambda m: bin(m).count("1"))
+        return UnavoidableFamily(
+            1, tuple(sorted(masks, key=lambda m: bin(m).count("1")))
         )
-        return UnavoidableFamily(1, sets)
 
     def test_worked_family(self):
         def mask(cells):
@@ -262,7 +311,7 @@ class TestBuildCliques:
         )
         cliques = build_cliques(family, 2, start=2, cap=10)
         assert len(cliques) == 1
-        assert cliques.sets[0].cells.mask == mask([0, 1, 27, 28]) | mask(
+        assert cliques.masks[0] == mask([0, 1, 27, 28]) | mask(
             [3, 4, 66, 67]
         )
 
@@ -271,7 +320,7 @@ class TestBuildCliques:
         family = self._family(masks)
         cliques = build_cliques(family, 2, start=1, cap=1)
         assert len(cliques) == 1
-        first = cliques.sets[0].cells.mask
+        first = cliques.masks[0]
         # loop order: i = start..m-1 ascending, j = start-1..i-1
         assert first == (1 << 1) | (1 << 0)
 
@@ -290,6 +339,14 @@ class TestBuildCliques:
             gc.enable()
         assert len(cliques) == (10 if start == 1 else 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(clique_inputs())
+    def test_order_matches_the_oracle(self, inputs):
+        masks, degree, start, cap = inputs
+        cliques = build_cliques(UnavoidableFamily(1, tuple(masks)), degree, start, cap)
+        assert cliques.degree == degree
+        assert list(cliques.masks) == oracle_cliques(masks, degree, start, cap)
+
     def test_start_validation(self):
         family = self._family([1, 2, 4])
         with pytest.raises(ValueError):
@@ -303,21 +360,20 @@ class TestBuildCliques:
         family = find_minimal_unavoidable(rep, 8)
         for degree in (2, 3):
             cliques = build_cliques(family, degree, start=degree - 1, cap=20)
-            for s in cliques.sets:
-                assert s.degree == degree
-                assert verify_degree(rep, s.cells, degree)
+            assert cliques.degree == degree
+            for mask in cliques.masks:
+                assert verify_degree(rep, CellSet(rep.shape, mask), degree)
 
     def test_cliques_on_nine_by_nine_sample(self, nine_families):
         grid, family = nine_families[0]
         cliques = build_cliques(family, 2, start=1, cap=12)
-        for s in cliques.sets:
-            assert verify_degree(grid, s.cells, 2)
+        for mask in cliques.masks:
+            assert verify_degree(grid, CellSet(grid.shape, mask), 2)
 
 
 class TestFamilyType:
     def test_degree_one_order_enforced(self):
-        big = UnavoidableSet(CellSet(SHAPE_4X4, 0b111111), 1)
-        small = UnavoidableSet(CellSet(SHAPE_4X4, 0b1111), 1)
+        big, small = 0b111111, 0b1111
         with pytest.raises(ValueError):
             UnavoidableFamily(1, (big, small))
 
@@ -325,11 +381,4 @@ class TestFamilyType:
         family = find_minimal_unavoidable(GRID_4X4, 8)
         top = family.truncated(3)
         assert len(top) == 3
-        assert [s.cells.mask for s in top.sets] == [
-            s.cells.mask for s in family.sets[:3]
-        ]
-
-    def test_degree_mismatch_rejected(self):
-        s = UnavoidableSet(CellSet(SHAPE_4X4, 0b1111), 2)
-        with pytest.raises(ValueError):
-            UnavoidableFamily(1, (s,))
+        assert list(top.masks) == list(family.masks[:3])
