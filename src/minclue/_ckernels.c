@@ -1,6 +1,6 @@
 /* Native kernels: solver core, batch confirmation of candidate clue sets,
- * alternate-completion enumerator and the hitting-set engine, in plain C99
- * with no Python API.
+ * alternate-completion enumerator, clique builder (mc_cliques) and the
+ * hitting-set engine, in plain C99 with no Python API.
  *
  * minclue._native loads this file through ctypes.  Semantics, emission
  * order and counters match minclue._pykernels exactly; that module is the
@@ -9,15 +9,18 @@
  * Every blanked digit must then move by a rectangle swap (see rect_swaps),
  * so it emits the same multiset of masks by combining swaps, in another
  * order.  The solver supports boards up to 16x16 (256 cells); the diff
- * enumerator and the hitting engine work on universes of up to 128 cells,
- * which covers every shape with a text format.
+ * enumerator, the clique builder and the hitting engine work on universes
+ * of up to 128 cells, which covers every shape with a text format.  The
+ * clique builder and the hitting engine take set masks as 16 little-endian
+ * bytes each (cells 0..63, then 64..127).
  *
  * Results stream out through one callback type, mc_emit_fn, which receives
  * a byte buffer and returns nonzero to abort: the recursion then unwinds,
  * frees what it allocated and the entry point returns MC_ABORTED.  The diff
- * enumerator passes one 16-byte mask per call; the hitting engine passes a
- * batch of whole candidates per call, k ascending cell bytes each, in
- * emission order.
+ * enumerator passes one 16-byte little-endian mask per call; the clique
+ * builder passes all its unions in one call, two native-order u64 words
+ * each; the hitting engine passes a batch of whole candidates per call, k
+ * ascending cell bytes each, in emission order.
  *
  * mc_confirm judges each candidate clue set by searching for one completion
  * other than the grid, trying the grid's digit last at each branch cell;
@@ -93,6 +96,14 @@ static void store_le64(u8 *p, u64 v)
 {
     for (int i = 0; i < 8; ++i, v >>= 8)
         p[i] = (u8)v;
+}
+
+static u64 load_le64(const u8 *p)
+{
+    u64 v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = v << 8 | p[i];
+    return v;
 }
 
 /* ------------------------------------------------------------------------
@@ -771,6 +782,92 @@ int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
 }
 
 /* ------------------------------------------------------------------------
+ * cliques */
+
+/* Unions of `degree` pairwise-disjoint sets among the `count` masks, 16
+ * little-endian bytes each (cells 0..63, then 64..127): the nested loop of
+ * _pykernels.cliques, walked with an explicit stack, so a large degree
+ * needs no C stack.  Level 0 tries indices start..count-1; level l tries
+ * start-l up to the index taken at level l-1; the first `cap` unions
+ * found at the last level are the result.  They go to emit in one call
+ * (none when there are none) as two native-order u64 words each.  Returns
+ * MC_OK, MC_ABORTED when emit asked to stop, MC_NO_MEMORY, or
+ * MC_BAD_ARGUMENT for count < 0, degree < 2, start < degree - 1 or
+ * cap < 1. */
+int mc_cliques(int count, const u8 *masks, int degree, int start, int cap,
+               mc_emit_fn emit)
+{
+    u64 *words, *acc, *out = NULL;
+    int *idx;
+    int level = 0, len = 0, room = 0, status = MC_OK;
+    if (count < 0 || degree < 2 || start < degree - 1 || cap < 1)
+        return MC_BAD_ARGUMENT;
+    if (start >= count || degree > count)
+        return MC_OK;
+    words = malloc((size_t)count * 2 * sizeof(u64));
+    acc = malloc((size_t)degree * 2 * sizeof(u64));
+    idx = malloc((size_t)degree * sizeof(int));
+    if (words == NULL || acc == NULL || idx == NULL) {
+        status = MC_NO_MEMORY;
+        goto done;
+    }
+    for (int i = 0; i < 2 * count; ++i)
+        words[i] = load_le64(masks + 8 * (size_t)i);
+    /* acc[2l..2l+1]: the union of the sets taken at the levels above l */
+    acc[0] = acc[1] = 0;
+    idx[0] = start;
+    while (level >= 0) {
+        int i = idx[level];
+        u64 lo, hi;
+        if (i >= (level == 0 ? count : idx[level - 1])) {
+            if (--level >= 0)
+                ++idx[level];
+            continue;
+        }
+        lo = words[2 * i];
+        hi = words[2 * i + 1];
+        if ((lo & acc[2 * level]) | (hi & acc[2 * level + 1])) {
+            ++idx[level];
+            continue;
+        }
+        lo |= acc[2 * level];
+        hi |= acc[2 * level + 1];
+        if (level < degree - 1) {
+            ++level;
+            acc[2 * level] = lo;
+            acc[2 * level + 1] = hi;
+            idx[level] = start - level;
+            continue;
+        }
+        if (len == room) {
+            /* the byte length handed to emit is an int */
+            enum { MOST = INT_MAX / 16 };
+            int grown = room < (MOST - 64) / 2 ? 2 * room + 64 : MOST;
+            u64 *bigger = grown > room ? realloc(out, (size_t)grown * 2 * sizeof(u64)) : NULL;
+            if (bigger == NULL) {
+                status = MC_NO_MEMORY;
+                goto done;
+            }
+            out = bigger;
+            room = grown;
+        }
+        out[2 * len] = lo;
+        out[2 * len + 1] = hi;
+        if (++len == cap)
+            break;
+        ++idx[level];
+    }
+    if (len > 0 && emit((const u8 *)out, len * 16))
+        status = MC_ABORTED;
+done:
+    free(words);
+    free(acc);
+    free(idx);
+    free(out);
+    return status;
+}
+
+/* ------------------------------------------------------------------------
  * hitting-set engine */
 
 enum { SEL_FULL = 0, SEL_FIRST_M = 1, SEL_FIRST_UNHIT_M = 2, SEL_FIRST_UNHIT = 3 };
@@ -1139,7 +1236,7 @@ static int recurse(Engine *eng, int level)
 }
 
 static int init_degree(Engine *eng, DegState *st, int degree, int m,
-                       const u64 *masks, int check_level, int trigger, int cap)
+                       const u8 *masks, int check_level, int trigger, int cap)
 {
     int universe = eng->universe;
     int words = m > 0 ? (m + 63) >> 6 : 1;
@@ -1156,7 +1253,8 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
     if (!st->table_orig || !st->masks_orig || !st->statevec)
         return MC_NO_MEMORY;
     for (int i = 0; i < m; ++i) {
-        u64 lo = masks[2 * i], hi = masks[2 * i + 1];
+        u64 lo = load_le64(masks + 16 * (size_t)i);
+        u64 hi = load_le64(masks + 16 * (size_t)i + 8);
         u64 outside_hi = universe >= 128 ? 0
                          : universe > 64 ? hi >> (universe - 64)
                                          : hi;
@@ -1189,9 +1287,9 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
 /* Positional twin of _pykernels.run_hitting: every k-subset of the
  * universe that hits each degree-1 set, emitted exactly once through the
  * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
- * counts[di] masks of two words each (cells 0..63, then 64..127),
- * concatenated over all degrees in `masks`; check_levels[di] or -1;
- * triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
+ * counts[di] masks of 16 little-endian bytes each (cells 0..63, then
+ * 64..127), concatenated over all degrees in `masks`; check_levels[di] or
+ * -1; triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
  * mode_params.  Candidates go to emit in batches, k ascending cell bytes
  * each: `batch` candidates per call, the rest in one last call (none when
  * nothing is left).  On return stats holds nodes, emitted, selection_cuts,
@@ -1200,7 +1298,7 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range (batch < 1
  * included) or a mask with cells outside the universe. */
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
-                   const int *counts, const u64 *masks,
+                   const int *counts, const u8 *masks,
                    const int *check_levels, const int *triggers,
                    const int *caps, const int *mode_codes,
                    const int *mode_params, mc_emit_fn emit, int batch,
@@ -1235,7 +1333,7 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
         st->cut_levels = cut_levels + (size_t)di * (k + 1);
         status = init_degree(eng, st, degrees[di], counts[di], masks,
                              check_levels[di], triggers[di], caps[di]);
-        masks += (size_t)2 * counts[di];
+        masks += (size_t)16 * counts[di];
         if (degrees[di] == 1)
             eng->deg1 = st;
     }

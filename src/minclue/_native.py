@@ -1,14 +1,17 @@
 """Native kernels: the C core in `_ckernels.c`, loaded through ctypes.
 
-The entry points take the same arguments and return the same results as
+The entry points (`solve_limit`, `confirm`, `enumerate_diffs`, `cliques`
+and `run_hitting`) take the same arguments and return the same results as
 those of `_pykernels`, which is the reference (`enumerate_diffs` the same
 multiset of masks, in unspecified order).  `run_hitting` fills its batches
 of candidates in C, so the engine calls into Python once per batch, not
-once per candidate.  Importing this module
-loads the shared library from `__pycache__/`, compiling it there with gcc
-first when no build of the current source exists (see `_cbuild`).  Import
-raises ImportError when the library is unavailable: silently when there is
-no compiler, after a RuntimeWarning naming the error when the build fails.
+once per candidate; `cliques` hands back all its unions in one buffer.
+Set masks cross into C packed, 16 little-endian bytes each.  Importing
+this module loads the shared library from `__pycache__/`, compiling it
+there with gcc first when no build of the current source exists (see
+`_cbuild`).  Import raises ImportError when the library is unavailable:
+silently when there is no compiler, after a RuntimeWarning naming the error
+when the build fails.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import subprocess
 import warnings
-from array import array
 from ctypes import CFUNCTYPE, POINTER, c_char_p, c_int, c_longlong, c_uint64, c_void_p
 
 from . import _cbuild
@@ -24,6 +26,7 @@ from . import _cbuild
 BACKEND_NAME = "native"
 
 _MASK64 = (1 << 64) - 1
+_INT_MAX = 2**31 - 1
 
 # mc_* error codes
 _NO_MEMORY = -1
@@ -57,9 +60,11 @@ def _open_library() -> ctypes.CDLL:
         c_int, c_int, c_char_p, c_uint64, c_uint64, c_int, c_int, _EMIT,
     )
     lib.mc_enumerate_diffs.restype = c_int
+    lib.mc_cliques.argtypes = (c_int, c_char_p, c_int, c_int, c_int, _EMIT)
+    lib.mc_cliques.restype = c_int
     int_array = POINTER(c_int)
     lib.mc_run_hitting.argtypes = (
-        c_int, c_int, c_int, int_array, int_array, POINTER(c_uint64),
+        c_int, c_int, c_int, int_array, int_array, c_char_p,
         int_array, int_array, int_array, int_array, int_array, _EMIT, c_int,
         POINTER(c_longlong), c_char_p,
     )
@@ -100,13 +105,27 @@ def _check(status: int, errors: list) -> None:
         raise MemoryError("native kernels out of memory")
     if status == _BAD_ARGUMENT:
         raise ValueError(
-            "board size, universe, k, batch, a digit, a cell or a set mask out"
-            " of range, or a grid that is not valid"
+            "board size, universe, k, batch, a digit, a cell, a set mask or a"
+            " clique degree, start or cap out of range, or a grid that is not"
+            " valid"
         )
 
 
 def _mask(data: bytes) -> int:
     return int.from_bytes(data, "little")
+
+
+def _pack(masks) -> bytes:
+    """Set masks as 16 little-endian bytes each (cells 0..63, then
+    64..127), the form the C side reads.  Appended one at a time: a list
+    of the 16-byte pieces would briefly hold about 4x the packed size."""
+    out = bytearray()
+    try:
+        for mask in masks:
+            out += mask.to_bytes(16, "little")
+    except OverflowError:
+        raise ValueError("a set mask is negative or has cells past 127") from None
+    return bytes(out)
 
 
 def solve_limit(box_rows: int, box_cols: int, cells, limit: int):
@@ -160,6 +179,29 @@ def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
     return out
 
 
+def cliques(masks, degree: int, start: int, cap: int):
+    """Unions of `degree` pairwise-disjoint masks; see _pykernels.cliques
+    for the contract.  The C side returns them all in one buffer of two
+    native-order words per union."""
+    packed = _pack(masks)
+    if degree < 2 or start < degree - 1 or cap < 1:
+        raise ValueError("clique degree below 2, start below degree - 1 or cap below 1")
+    # ctypes wraps an int argument past INT_MAX silently, so only a start
+    # and degree below len(masks) and a clamped cap go to C
+    if start >= len(masks) or degree > len(masks):
+        return ()
+    out = []
+    callback, errors = _emitter(out.append)
+    status = _lib.mc_cliques(
+        len(masks), packed, degree, start, min(cap, _INT_MAX), callback
+    )
+    _check(status, errors)
+    if not out:
+        return ()
+    words = memoryview(out[0]).cast("Q")
+    return tuple([lo | hi << 64 for lo, hi in zip(words[0::2], words[1::2])])
+
+
 def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
                 consolidations, modes, emit, batch: int):
     """Positional twin of the reference engine; see _pykernels.run_hitting
@@ -169,12 +211,7 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
     per_degree = c_int * ndeg
     per_level = c_int * k
     entries = [consolidations.get(d) or (-1, 0) for d in degrees]
-    words = array("Q", (
-        word
-        for masks in masks_by_degree
-        for mask in masks
-        for word in (mask & _MASK64, mask >> 64)
-    ))
+    packed = _pack(mask for masks in masks_by_degree for mask in masks)
     counters = (c_longlong * (4 + ndeg))()
     cut_levels = ctypes.create_string_buffer(ndeg * (k + 1))
     callback, errors = _emitter(emit)
@@ -184,7 +221,7 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         ndeg,
         per_degree(*degrees),
         per_degree(*(len(masks) for masks in masks_by_degree)),
-        (c_uint64 * len(words)).from_buffer(words),
+        packed,
         per_degree(*(check_levels.get(d, -1) for d in degrees)),
         per_degree(*(trigger for trigger, _cap in entries)),
         per_degree(*(cap for _trigger, cap in entries)),

@@ -1,8 +1,10 @@
 """Pure-Python kernels: solver core, batch confirmation of candidate clue
-sets, alternate-completion enumerator and the hitting-set engine.
+sets, alternate-completion enumerator, clique builder and the hitting-set
+engine.
 
 This is the reference backend; `_native` (C, via ctypes) implements the same
-four entry points with identical semantics and emission order, except
+five entry points (`solve_limit`, `confirm`, `enumerate_diffs`, `cliques`
+and `run_hitting`) with identical semantics and emission order, except
 that `enumerate_diffs` may list its masks in another order.  Bit rows are
 Python ints here, so widths are unbounded.
 """
@@ -545,6 +547,50 @@ def enumerate_diffs(
                 _diff_rec(child, diff, out)
             diff.restore(snap)
     return out
+
+
+# ---------------------------------------------------------------------------
+# cliques
+
+def cliques(masks, degree: int, start: int, cap: int):
+    """Unions of `degree` pairwise-disjoint masks, as a tuple of masks.
+
+    The nested loop runs index floors start, start-1, ...: level 0 tries
+    indices start..len(masks)-1 ascending, level j indices start-j up to
+    the index taken at level j-1, and a mask joins only when it misses the
+    union so far.  The first `cap` unions reached at the last level are
+    the result.  Raises ValueError for degree < 2, start < degree - 1,
+    cap < 1, or a mask that is negative or has a cell past 127 (the
+    engines' universe).
+    """
+    if any(mask < 0 or mask >> 128 for mask in masks):
+        raise ValueError("a set mask is negative or has cells past 127")
+    if degree < 2 or start < degree - 1 or cap < 1:
+        raise ValueError("clique degree below 2, start below degree - 1 or cap below 1")
+    m = len(masks)
+    out = []
+
+    def scan(level: int, upper: int, acc: int) -> bool:
+        for idx in range(start - level, upper):
+            mask = masks[idx]
+            if mask & acc:
+                continue
+            if level == degree - 1:
+                out.append(acc | mask)
+                if len(out) == cap:
+                    return True
+            elif scan(level + 1, idx, acc | mask):
+                return True
+        return False
+
+    try:
+        if m > start:
+            scan(0, m, 0)
+    finally:
+        # scan reaches itself through its closure; without this the cycle
+        # keeps out and masks alive until a cyclic collection
+        del scan
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

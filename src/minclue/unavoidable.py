@@ -208,7 +208,7 @@ def build_cliques(
 ) -> UnavoidableFamily:
     """Unions of `degree` pairwise-disjoint family members, enumerated in
     the nested loop order with index floors start, start-1, ...; at most
-    `cap` cliques are produced."""
+    `cap` cliques are produced.  The scan is the kernels' `cliques`."""
     if family.degree != 1:
         raise ValueError("cliques are built over a degree-1 family")
     if degree < 2:
@@ -217,28 +217,6 @@ def build_cliques(
         raise ValueError("start must be at least degree - 1")
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    masks = family.masks
-    m = len(masks)
-    out: List[int] = []
-
-    def scan(level: int, upper: int, acc: int) -> bool:
-        for idx in range(start - level, upper):
-            mask = masks[idx]
-            if mask & acc:
-                continue
-            if level == degree - 1:
-                out.append(acc | mask)
-                if len(out) == cap:
-                    return True
-            elif scan(level + 1, idx, acc | mask):
-                return True
-        return False
-
-    try:
-        if m > start:
-            scan(0, m, 0)
-    finally:
-        # scan reaches itself through its closure; without this the cycle
-        # keeps out and masks alive until a cyclic collection
-        del scan
-    return UnavoidableFamily(degree, tuple(out))
+    return UnavoidableFamily(
+        degree, kernels.cliques(family.masks, degree, start, cap)
+    )

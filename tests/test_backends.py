@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import clue_cells, random_solution_grid
+from test_unavoidable import oracle_cliques
 from minclue import _pykernels, checker, unavoidable
 from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
 from minclue.backend import backend_name
@@ -522,6 +523,73 @@ class TestConfirm:
         for name, kernels in backends.items():
             verdicts = kernels.confirm(*confirm_args(grid, ncells - 4, a + b))
             assert verdicts == bytes([CONFIRM_AMBIGUOUS, CONFIRM_PROPER]), name
+
+
+@st.composite
+def wide_clique_inputs(draw):
+    """A family of 1-4-cell masks over an 81- or 128-cell universe, with a
+    clique degree 2-6, a start from degree - 1 to past the family and a cap
+    of 1-50.  The cells come from a small pool with at least two cells at
+    64 and above, so that masks often meet only in their high word."""
+    universe = draw(st.sampled_from((81, 128)))
+    pool = draw(st.lists(st.integers(64, universe - 1), min_size=2, max_size=8, unique=True))
+    pool += draw(st.lists(st.integers(0, 63), max_size=8, unique=True))
+    cell_sets = draw(
+        st.lists(st.sets(st.sampled_from(pool), min_size=1, max_size=4), max_size=12)
+    )
+    masks = [sum(1 << c for c in cells) for cells in cell_sets]
+    degree = draw(st.integers(2, 6))
+    start = draw(st.integers(degree - 1, max(degree - 1, len(masks) + 1)))
+    cap = draw(st.integers(1, 50))
+    return masks, degree, start, cap
+
+
+class TestCliques:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_clique_inputs())
+    def test_parity_with_the_oracle(self, backends, inputs):
+        masks, degree, start, cap = inputs
+        expected = tuple(oracle_cliques(masks, degree, start, cap))
+        got = {
+            name: kernels.cliques(masks, degree, start, cap)
+            for name, kernels in backends.items()
+        }
+        for name, cliques in got.items():
+            assert cliques == expected, name
+        assert len(set(got.values())) == 1
+
+    def test_cap_reached_mid_scan(self, backends):
+        """Ten disjoint high cells give C(10, 3) = 120 triples from start
+        2; a cap of 7 stops the scan inside its second level-0 index."""
+        masks = [1 << (70 + i) for i in range(10)]
+        expected = tuple(oracle_cliques(masks, 3, 2, 7))
+        assert len(oracle_cliques(masks, 3, 2, 1000)) == 120
+        for name, kernels in backends.items():
+            assert kernels.cliques(masks, 3, 2, 7) == expected, name
+            assert len(kernels.cliques(masks, 3, 2, 1000)) == 120, name
+
+    def test_start_past_the_family_builds_none(self, backends):
+        masks = [1 << 80, 1 << 3, 1 << 100]
+        for name, kernels in backends.items():
+            assert kernels.cliques(masks, 2, 3, 10) == (), name
+            assert kernels.cliques(masks, 2, 9, 10) == (), name
+            assert kernels.cliques([], 2, 1, 10) == (), name
+
+    @pytest.mark.parametrize(
+        "masks, degree, start, cap",
+        [
+            ([1, 2, 4], 1, 1, 5),  # degree below 2
+            ([1, 2, 4], 3, 1, 5),  # start below degree - 1
+            ([1, 2, 4], 2, 1, 0),  # cap below 1
+            ([1, -2, 4], 2, 1, 5),  # negative mask
+            ([1, 1 << 128, 4], 2, 1, 5),  # a cell past 127
+            ([1, 2, 1 << 130], 2, 9, 5),  # refused even when nothing is scanned
+        ],
+    )
+    def test_bad_arguments_raise(self, backends, masks, degree, start, cap):
+        for name, kernels in backends.items():
+            with pytest.raises(ValueError):
+                kernels.cliques(masks, degree, start, cap)
 
 
 class TestBenchmarks:

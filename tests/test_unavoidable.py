@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_count, clue_cells, random_solution_grid
 from test_acceptance import PINNED_9X9
+from minclue import unavoidable
+from minclue.checker import SearchConfig
 from minclue.errors import BudgetExceededError
 from minclue.grid import (
     SHAPE_4X4,
@@ -201,6 +203,15 @@ class TestFinderCompleteness4x4:
             recheck_family(GRID_4X4, family)
 
 
+@pytest.fixture(scope="module")
+def pinned_working_family(native_required):
+    """The first pinned grid's max_size=12 family, cut to the default
+    family cap."""
+    config = SearchConfig()
+    family = find_minimal_unavoidable(parse_grid(PINNED_9X9[0]), 12)
+    return family.truncated(config.family_cap)
+
+
 class TestNineByNine:
     def test_seeded_rectangle_found(self, native_required):
         # a grid built around the 4-cell crosswise pattern at cells
@@ -258,6 +269,35 @@ class TestNineByNine:
         family = find_minimal_unavoidable(parse_grid(grid_text), 12)
         text = ",".join(str(m) for m in family.masks)
         assert len(family) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "degree, count, digest",
+        [
+            (2, 8192,
+             "1173ce351b428f1be62017a97bbc55c69fd28a7aafd24277cc50ba00d35ba09c"),
+            (3, 16384,
+             "11620527d604bd6f444e0cc5f732f750a94b78dc500b98df3aaaff29cfc4f29e"),
+            (4, 32768,
+             "883b9301314463a23da227c9d768197eaa446321882d445e7ad0d664838d3e77"),
+            (5, 25199,
+             "35e3ccee26e3df3933ff0c9e8ce98359626685d735abc7648d5cb98a32f633ee"),
+        ],
+    )
+    def test_pinned_clique_families(self, degree, count, digest, pinned_working_family):
+        """The default k=16 clique families of the first pinned grid, as
+        the Python scan built them: count and sha256 of the comma-joined
+        masks in family order.  Degrees 2-4 stop at their caps, degree 5
+        scans to the end."""
+        config = SearchConfig()
+        cliques = build_cliques(
+            pinned_working_family,
+            degree,
+            config.clique_start(16, degree),
+            config.clique_caps[degree],
+        )
+        text = ",".join(str(m) for m in cliques.masks)
+        assert len(cliques) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_mean_family_size_sample(self, nine_families):
@@ -325,19 +365,21 @@ class TestBuildCliques:
         assert first == (1 << 1) | (1 << 0)
 
     @pytest.mark.parametrize("start", [1, 8])
-    def test_no_reference_cycle_left(self, start):
+    def test_no_reference_cycle_left(self, start, backends, monkeypatch):
         """A call leaves nothing for the cyclic collector, so the cliques it
         built are freed as soon as the caller drops them; start 8 builds
-        none."""
+        none.  Checked on every backend."""
         family = self._family([1 << i for i in range(8)])
-        gc.collect()
-        gc.disable()
-        try:
-            cliques = build_cliques(family, 2, start=start, cap=10)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-        assert len(cliques) == (10 if start == 1 else 0)
+        for name, kernels in backends.items():
+            monkeypatch.setattr(unavoidable, "kernels", kernels)
+            gc.collect()
+            gc.disable()
+            try:
+                cliques = build_cliques(family, 2, start=start, cap=10)
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
+            assert len(cliques) == (10 if start == 1 else 0), name
 
     @settings(max_examples=300, deadline=None)
     @given(clique_inputs())
