@@ -3,7 +3,7 @@ boards, built on unavoidable-set theory and a bit-vector hitting-set
 enumerator, with a checkpointed local task farm for catalogue runs."""
 
 from .backend import backend_name
-from .grid import CellSet, Grid, GridShape, Puzzle, parse_grid, parse_puzzle
+from .grid import CellSet, Grid, GridShape, parse_grid
 
 __version__ = "0.1.0"
 
@@ -11,9 +11,7 @@ __all__ = [
     "CellSet",
     "Grid",
     "GridShape",
-    "Puzzle",
     "backend_name",
     "parse_grid",
-    "parse_puzzle",
     "__version__",
 ]

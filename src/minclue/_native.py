@@ -22,11 +22,11 @@ import warnings
 from ctypes import CFUNCTYPE, POINTER, c_char_p, c_int, c_longlong, c_uint64, c_void_p
 
 from . import _cbuild
+from ._pykernels import INT_MAX
 
 BACKEND_NAME = "native"
 
 _MASK64 = (1 << 64) - 1
-_INT_MAX = 2**31 - 1
 
 # mc_* error codes
 _NO_MEMORY = -1
@@ -111,6 +111,20 @@ def _check(status: int, errors: list) -> None:
         )
 
 
+def _c_int(value: int) -> int:
+    """`value`, refused with ValueError outside the C int range: ctypes
+    would wrap it silently (a limit of 2**32 + 1 becomes 1)."""
+    if not -INT_MAX - 1 <= value <= INT_MAX:
+        raise ValueError(f"{value} does not fit a C int")
+    return value
+
+
+def _c_ints(values):
+    """A C int array of `values`, each checked by `_c_int`."""
+    values = [_c_int(v) for v in values]
+    return (c_int * len(values))(*values)
+
+
 def _mask(data: bytes) -> int:
     return int.from_bytes(data, "little")
 
@@ -134,7 +148,9 @@ def solve_limit(box_rows: int, box_cols: int, cells, limit: int):
     if len(cells) != ncells:
         raise ValueError(f"expected {ncells} cells")
     out = ctypes.create_string_buffer(2 * ncells)
-    count = _lib.mc_solve_limit(box_rows, box_cols, bytes(cells), limit, out)
+    count = _lib.mc_solve_limit(
+        _c_int(box_rows), _c_int(box_cols), bytes(cells), _c_int(limit), out
+    )
     _check(count, [])
     raw = out.raw
     first = tuple(raw[:ncells]) if count >= 1 else None
@@ -153,7 +169,8 @@ def confirm(box_rows: int, box_cols: int, digits, k: int, cells) -> bytes:
     count = len(cells) // k
     verdicts = ctypes.create_string_buffer(count)
     status = _lib.mc_confirm(
-        box_rows, box_cols, bytes(digits), k, count, bytes(cells), verdicts
+        _c_int(box_rows), _c_int(box_cols), bytes(digits), _c_int(k),
+        _c_int(count), bytes(cells), verdicts,
     )
     _check(status, [])
     return verdicts.raw
@@ -172,8 +189,8 @@ def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
     out = []
     callback, errors = _emitter(lambda data: out.append(_mask(data)))
     status = _lib.mc_enumerate_diffs(
-        box_rows, box_cols, bytes(solution), blank_mask & _MASK64,
-        blank_mask >> 64, max_diff, max_per_digit, callback,
+        _c_int(box_rows), _c_int(box_cols), bytes(solution), blank_mask & _MASK64,
+        blank_mask >> 64, _c_int(max_diff), _c_int(max_per_digit), callback,
     )
     _check(status, errors)
     return out
@@ -186,14 +203,13 @@ def cliques(masks, degree: int, start: int, cap: int):
     packed = _pack(masks)
     if degree < 2 or start < degree - 1 or cap < 1:
         raise ValueError("clique degree below 2, start below degree - 1 or cap below 1")
-    # ctypes wraps an int argument past INT_MAX silently, so only a start
-    # and degree below len(masks) and a clamped cap go to C
+    # only a start and degree below len(masks) and a clamped cap go to C
     if start >= len(masks) or degree > len(masks):
         return ()
     out = []
     callback, errors = _emitter(out.append)
     status = _lib.mc_cliques(
-        len(masks), packed, degree, start, min(cap, _INT_MAX), callback
+        len(masks), packed, degree, start, min(cap, INT_MAX), callback
     )
     _check(status, errors)
     if not out:
@@ -208,27 +224,25 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
     for the argument contract.  The C side fills each batch and `emit`
     receives it as one bytes object."""
     ndeg = len(degrees)
-    per_degree = c_int * ndeg
-    per_level = c_int * k
     entries = [consolidations.get(d) or (-1, 0) for d in degrees]
     packed = _pack(mask for masks in masks_by_degree for mask in masks)
     counters = (c_longlong * (4 + ndeg))()
     cut_levels = ctypes.create_string_buffer(ndeg * (k + 1))
     callback, errors = _emitter(emit)
     status = _lib.mc_run_hitting(
-        universe,
-        k,
+        _c_int(universe),
+        _c_int(k),
         ndeg,
-        per_degree(*degrees),
-        per_degree(*(len(masks) for masks in masks_by_degree)),
+        _c_ints(degrees),
+        _c_ints(len(masks) for masks in masks_by_degree),
         packed,
-        per_degree(*(check_levels.get(d, -1) for d in degrees)),
-        per_degree(*(trigger for trigger, _cap in entries)),
-        per_degree(*(cap for _trigger, cap in entries)),
-        per_level(*(modes[level][0] for level in range(k))),
-        per_level(*(modes[level][1] for level in range(k))),
+        _c_ints(check_levels.get(d, -1) for d in degrees),
+        _c_ints(trigger for trigger, _cap in entries),
+        _c_ints(cap for _trigger, cap in entries),
+        _c_ints(modes[level][0] for level in range(k)),
+        _c_ints(modes[level][1] for level in range(k)),
         callback,
-        batch,
+        _c_int(batch),
         counters,
         cut_levels,
     )

@@ -18,6 +18,10 @@ from .bitrows import bits_ascending
 
 BACKEND_NAME = "python"
 
+# the largest limit, count or cap a kernel argument may hold: the native
+# kernels take them as C ints, and callers refuse larger values
+INT_MAX = 2**31 - 1
+
 
 # ---------------------------------------------------------------------------
 # board geometry

@@ -20,8 +20,10 @@ proper, and re-run through `count_completions` and
 
 Correctness does not depend on how many unavoidable sets are used: any
 subfamily yields a superset of candidates and the solver keeps exactly the
-proper ones.  The family sizes, clique caps and engine schedule only steer
-how much work the enumeration does.
+proper ones.  The family sizes, clique degrees and caps and the engine's
+consolidation and selection settings only steer how much work the
+enumeration does; `baseline_config` sets them to plain backtracking, the
+control the speed-ups are tested against.
 """
 
 from __future__ import annotations
@@ -29,13 +31,18 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._pykernels import CONFIRM_PROPER, CONFIRM_UNSAFE
 from .backend import kernels
 from .errors import GridFormatError, InconsistentCluesError
 from .grid import CellSet, Grid, GridShape, parse_grid
-from .hitting import EngineConfig, HittingInstance, enumerate_hitting_sets
+from .hitting import (
+    EngineConfig,
+    HittingInstance,
+    SelectionSchedule,
+    enumerate_hitting_sets,
+)
 from .solver import count_completions, verify_two_completions
 from .unavoidable import (
     build_cliques,
@@ -104,14 +111,14 @@ class SearchConfig:
 
 
 def baseline_config() -> SearchConfig:
-    """The unimproved engine: the dead-cell rule only, no degree pruning, no
-    consolidation, first-unhit selection."""
+    """The unimproved engine: the dead-cell rule only.  No cliques, so no
+    degree checks; no consolidation; first-unhit selection at every level
+    (the config-file form is `clique_degrees=`, `consolidate.D=off` for
+    each default degree D and `selection=0:0:0`)."""
     return SearchConfig(
         clique_degrees=(),
         engine=EngineConfig(
-            enable_degree_pruning=False,
-            enable_consolidation=False,
-            enable_effective_size=False,
+            consolidation={}, selection=SelectionSchedule(0, 0, 0)
         ),
     )
 
@@ -245,13 +252,11 @@ def search_catalog(
     lines: Iterable[str],
     k: int,
     config: SearchConfig = SearchConfig(),
-    sink: Optional[Callable[[ReportOrError], None]] = None,
     shape: Optional[GridShape] = None,
-) -> List[ReportOrError]:
-    """One report per input line, in input order; malformed lines produce
-    error records and processing continues."""
-    out: List[ReportOrError] = []
-    deliver = sink if sink is not None else out.append
+) -> Iterator[ReportOrError]:
+    """Yields one report per non-blank input line, in input order, each as
+    its grid is searched; a malformed line yields an error record carrying
+    its index in `lines`, and processing continues."""
     for line_no, line in enumerate(lines):
         line = line.strip()
         if not line:
@@ -259,13 +264,9 @@ def search_catalog(
         try:
             grid = parse_grid(line, shape)
         except GridFormatError as exc:
-            record: ReportOrError = GridSearchError(line_no, str(exc))
+            yield GridSearchError(line_no, str(exc))
         else:
-            record = search_grid(grid, k, config)
-        deliver(record)
-        if sink is not None:
-            out.append(record)
-    return out
+            yield search_grid(grid, k, config)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .bitrows import bits_ascending
-from .checker import GridSearchError, SearchConfig, format_report, search_grid
+from .checker import GridSearchError, SearchConfig, format_report, search_catalog
 from .config import config_header_lines, load_config_file
 from .errors import (
     BudgetExceededError,
@@ -224,16 +224,11 @@ def cmd_search(args) -> int:
     for line in config_header_lines(config, args.k):
         print(line)
     status = 0
-    for line in _input_lines(args.file):
-        try:
-            grid = parse_grid(line, shape)
-        except GridFormatError as exc:
-            print(format_report(GridSearchError(0, str(exc))))
-            status = 2
-            continue
-        report = search_grid(grid, args.k, config)
-        print(format_report(report))
-        if report.safety_failures:
+    for record in search_catalog(_input_lines(args.file), args.k, config, shape):
+        print(format_report(record))
+        if isinstance(record, GridSearchError):
+            status = max(status, 2)
+        elif record.safety_failures:
             status = 3
     return status
 

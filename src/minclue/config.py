@@ -39,14 +39,6 @@ def parse_config_text(text: str) -> Dict[str, str]:
     return pairs
 
 
-def _parse_bool(value: str) -> bool:
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[int]]:
     """Returns the search configuration plus k when the file pins one."""
     config = SearchConfig()
@@ -71,12 +63,6 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
             config = replace(config, family_cap=int(value))
         elif key == "clique_degrees":
             clique_degrees = tuple(int(tok) for tok in value.split(",") if tok)
-        elif key == "degree_pruning":
-            engine = replace(engine, enable_degree_pruning=_parse_bool(value))
-        elif key == "consolidation":
-            engine = replace(engine, enable_consolidation=_parse_bool(value))
-        elif key == "effective_size":
-            engine = replace(engine, enable_effective_size=_parse_bool(value))
         elif key.startswith("clique_cap."):
             clique_caps[int(key.split(".", 1)[1])] = int(value)
         elif key.startswith("clique_start."):
@@ -122,9 +108,6 @@ def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
         ("max_set_size", config.max_set_size if config.max_set_size is not None else "auto"),
         ("family_cap", config.family_cap),
         ("clique_degrees", ",".join(map(str, config.clique_degrees))),
-        ("degree_pruning", int(eng.enable_degree_pruning)),
-        ("consolidation", int(eng.enable_consolidation)),
-        ("effective_size", int(eng.enable_effective_size)),
     ]
     for d in sorted(config.clique_caps):
         pairs.append((f"clique_cap.{d}", config.clique_caps[d]))

@@ -21,10 +21,6 @@ class RuleViolationError(GridFormatError):
     """Digits violate a row, column or box constraint."""
 
 
-class ClueContradictionError(GridFormatError):
-    """A given clue disagrees with the intended solution grid."""
-
-
 class InconsistentCluesError(MinclueError, ValueError):
     """Clue digits collide inside a unit; the puzzle is malformed upstream."""
 

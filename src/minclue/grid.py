@@ -1,4 +1,5 @@
-"""Board model for generalized sudoku: shapes, grids, cell sets, puzzles.
+"""Board model for generalized sudoku: shapes, grids, cell sets, and the
+line formats of grids and clue sets.
 
 Cells are indexed 0..cell_count-1, row-major, top-left first.  Digits run
 1..side.  The text format is one ASCII digit per cell, so only shapes with
@@ -14,7 +15,6 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import (
     BadCharacterError,
-    ClueContradictionError,
     RuleViolationError,
     WrongLengthError,
 )
@@ -232,29 +232,6 @@ class CellSet:
             raise ValueError("cell sets have different shapes")
 
 
-@dataclass(frozen=True)
-class Puzzle:
-    """A clue subset of a solution grid."""
-
-    grid: Grid
-    clues: CellSet
-
-    def __post_init__(self) -> None:
-        if self.clues.shape != self.grid.shape:
-            raise ValueError("clue set shape differs from grid shape")
-
-    def cells(self) -> tuple:
-        """Row-major digit array with 0 at non-clue cells."""
-        clue_mask = self.clues.mask
-        return tuple(
-            d if (clue_mask >> c) & 1 else 0
-            for c, d in enumerate(self.grid.digits)
-        )
-
-    def __str__(self) -> str:
-        return format_puzzle(self)
-
-
 def _resolve_shape(line: str, shape: Optional[GridShape]) -> GridShape:
     if shape is not None:
         if len(line) != shape.cell_count:
@@ -311,25 +288,3 @@ def parse_clue_cells(line: str, shape: Optional[GridShape] = None) -> tuple:
             raise BadCharacterError(f"digit {d} exceeds side {shape.side}")
         cells.append(d)
     return shape, tuple(cells)
-
-
-def parse_puzzle(line: str, solution: Grid) -> Puzzle:
-    """Parse a puzzle line against its intended solution grid."""
-    shape, cells = parse_clue_cells(line, solution.shape)
-    mask = 0
-    for c, d in enumerate(cells):
-        if d == 0:
-            continue
-        if d != solution.digits[c]:
-            raise ClueContradictionError(
-                f"clue {d} at cell {c} contradicts solution digit "
-                f"{solution.digits[c]}"
-            )
-        mask |= 1 << c
-    return Puzzle(solution, CellSet(shape, mask))
-
-
-def format_puzzle(puzzle: Puzzle) -> str:
-    if puzzle.grid.shape.side > 9:
-        raise ValueError("no text format for sides greater than 9")
-    return "".join(str(d) if d else "0" for d in puzzle.cells())

@@ -8,6 +8,12 @@ below the chosen cell are excluded from the subtree) makes every hitting
 set come out exactly once.  The engine hands its sink the hitting sets in
 batches of whole sets, as bytes; `per_candidate` adapts a callable that
 takes one set at a time.
+
+Each of the speed-ups over plain backtracking is turned off by its own
+setting: the degree checks by an instance with no family above degree 1,
+consolidation by `EngineConfig(consolidation={})`, and effective-size
+selection by `SelectionSchedule(0, 0, 0)`, which draws from the first
+unhit set at every level.  `checker.baseline_config` sets all three.
 """
 
 from __future__ import annotations
@@ -19,7 +25,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backend import kernels
 from .errors import BudgetExceededError
-from ._pykernels import SEL_FIRST_M, SEL_FIRST_UNHIT, SEL_FIRST_UNHIT_M, SEL_FULL
+from ._pykernels import (
+    INT_MAX,
+    SEL_FIRST_M,
+    SEL_FIRST_UNHIT,
+    SEL_FIRST_UNHIT_M,
+    SEL_FULL,
+)
 
 MAX_UNIVERSE = 128
 
@@ -78,7 +90,9 @@ class SelectionSchedule:
     """Which degree-1 set to draw from, by clue position t (1-based):
     minimum effective size over all unhit sets through t = full_through,
     then over the first window_width sets, then over the first short_width
-    unhit sets, then simply the first unhit set.
+    unhit sets, then simply the first unhit set.  A width of 0 skips its
+    scan and draws from the first unhit set, so SelectionSchedule(0, 0, 0)
+    turns effective sizes off.
 
     full_through = None derives the default k - 6 at resolve time, placing
     the two bounded scans at k - 5 and k - 4.
@@ -87,6 +101,10 @@ class SelectionSchedule:
     full_through: Optional[int] = None
     window_width: int = 64
     short_width: int = 5
+
+    def __post_init__(self) -> None:
+        if self.window_width < 0 or self.short_width < 0:
+            raise ValueError("selection widths must be >= 0")
 
 
 DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
@@ -101,9 +119,10 @@ DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class EngineConfig:
-    enable_degree_pruning: bool = True
-    enable_consolidation: bool = True
-    enable_effective_size: bool = True
+    """Consolidation (trigger level, cap) per degree, {} for none, and the
+    selection schedule.  The higher-degree checks need no setting: they
+    follow from the instance's families above degree 1."""
+
     consolidation: Mapping[int, Tuple[int, int]] = field(
         default_factory=lambda: dict(DEFAULT_CONSOLIDATION)
     )
@@ -113,8 +132,10 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         for trigger, cap in self.consolidation.values():
-            if trigger < 1 or cap < 1:
-                raise ValueError("consolidation triggers and caps must be >= 1")
+            if not (1 <= trigger <= INT_MAX and 1 <= cap <= INT_MAX):
+                raise ValueError(
+                    f"consolidation triggers and caps must be in 1..{INT_MAX}"
+                )
 
 
 def check_level(k: int, degree: int) -> int:
@@ -130,39 +151,35 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
     masks_by_degree = [list(instance.families[d]) for d in degrees]
 
     check_levels: Dict[int, int] = {}
-    if config.enable_degree_pruning:
-        for d in degrees:
-            if d >= 2 and instance.families[d]:
-                check_levels[d] = check_level(k, d)
+    for d in degrees:
+        if d >= 2 and instance.families[d]:
+            check_levels[d] = check_level(k, d)
 
     consolidations: Dict[int, Tuple[int, int]] = {}
-    if config.enable_consolidation:
-        for d, (trigger, cap) in config.consolidation.items():
-            if trigger >= k:
-                continue
-            if d not in instance.families or not instance.families[d]:
-                continue
-            if d >= 2 and trigger >= check_level(k, d):
-                continue  # the degree is checked once, earlier consolidation only
-            consolidations[d] = (trigger, cap)
+    for d, (trigger, cap) in config.consolidation.items():
+        if trigger >= k:
+            continue
+        if d not in instance.families or not instance.families[d]:
+            continue
+        if d >= 2 and trigger >= check_level(k, d):
+            continue  # the degree is checked once, earlier consolidation only
+        consolidations[d] = (trigger, cap)
 
+    selection = config.selection
+    full_through = selection.full_through
+    if full_through is None:
+        full_through = k - 6
     modes: List[Tuple[int, int]] = []
-    if config.enable_effective_size:
-        full_through = config.selection.full_through
-        if full_through is None:
-            full_through = k - 6
-        for level in range(k):
-            t = level + 1
-            if t <= full_through:
-                modes.append((SEL_FULL, 0))
-            elif t == full_through + 1:
-                modes.append((SEL_FIRST_M, config.selection.window_width))
-            elif t == full_through + 2:
-                modes.append((SEL_FIRST_UNHIT_M, config.selection.short_width))
-            else:
-                modes.append((SEL_FIRST_UNHIT, 0))
-    else:
-        modes = [(SEL_FIRST_UNHIT, 0)] * k
+    for level in range(k):
+        t = level + 1
+        if t <= full_through:
+            modes.append((SEL_FULL, 0))
+        elif t == full_through + 1 and selection.window_width:
+            modes.append((SEL_FIRST_M, selection.window_width))
+        elif t == full_through + 2 and selection.short_width:
+            modes.append((SEL_FIRST_UNHIT_M, selection.short_width))
+        else:
+            modes.append((SEL_FIRST_UNHIT, 0))
 
     return (
         instance.universe_size,

@@ -19,8 +19,8 @@ from typing import Sequence, Tuple
 
 from .backend import kernels
 from .errors import InconsistentCluesError
-from .grid import Grid, GridShape, Puzzle, digits_valid
-from ._pykernels import givens_consistent
+from .grid import Grid, GridShape, digits_valid
+from ._pykernels import INT_MAX, givens_consistent
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ def count_completions(
     when two givens collide inside a unit (that is malformed input, not a
     puzzle with zero completions).
     """
-    if limit < 1:
-        raise ValueError("limit must be at least 1")
+    if not 1 <= limit <= INT_MAX:
+        raise ValueError(f"limit must be in 1..{INT_MAX}")
     if len(cells) != shape.cell_count:
         raise ValueError(f"expected {shape.cell_count} cells")
     if not givens_consistent(shape.box_rows, shape.box_cols, cells):
@@ -56,15 +56,6 @@ def count_completions(
     if second is not None:
         completions.append(Grid(shape, tuple(second)))
     return SolveOutcome(count, tuple(completions))
-
-
-def puzzle_outcome(puzzle: Puzzle, limit: int = 2) -> SolveOutcome:
-    return count_completions(puzzle.grid.shape, puzzle.cells(), limit)
-
-
-def is_proper(puzzle: Puzzle) -> bool:
-    """True iff the clue set determines its grid uniquely."""
-    return puzzle_outcome(puzzle, 2).count == 1
 
 
 def verify_two_completions(

@@ -6,7 +6,8 @@ The dispatcher is the only writer of the checkpoint and the output file.
 Batches are acknowledged whole: a batch is either recorded (its frame is
 complete in the output and its id is in the checkpoint) or it will run
 again, so records may repeat across crashed-then-resumed runs but are
-never lost or torn.  merge_outputs collapses the repeats.
+never lost or torn.  merge_outputs collapses the repeats, which differ at
+most in their timings.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .checker import (
+    GridSearchReport,
     ReportOrError,
     SearchConfig,
     format_report,
@@ -131,13 +133,9 @@ def _run_batch(args) -> Tuple[List[str], int]:
     _batch_id, lines, k, config = args
     blocks: List[str] = []
     failures = 0
-
-    def sink(record: ReportOrError) -> None:
-        nonlocal failures
+    for record in search_catalog(lines, k, config):
         blocks.append(format_report(record))
         failures += getattr(record, "safety_failures", 0)
-
-    search_catalog(lines, k, config, sink)
     return blocks, failures
 
 
@@ -316,23 +314,34 @@ def _parse_frames(text: str) -> List[Tuple[int, int, int, List[str]]]:
 
 
 def merge_outputs(output_path) -> List[ReportOrError]:
-    """Reports in catalogue order, duplicate batch records collapsed.
+    """Reports in catalogue order, duplicate batch records collapsed to the
+    first.
 
-    Duplicates must agree record-for-record; disagreement means the search
-    was nondeterministic upstream and is a hard error.
+    Duplicates must agree record for record, except in their timings (a
+    batch re-run after a crash between its output write and its checkpoint
+    save is timed anew); any other disagreement means the search was
+    nondeterministic upstream and is a hard error.
     """
     text = Path(output_path).read_text(encoding="ascii")
-    by_id: Dict[int, Tuple[int, int, List[str]]] = {}
+    by_id: Dict[int, Tuple[int, int, List[ReportOrError]]] = {}
     for batch_id, start, end, blocks in _parse_frames(text):
-        if batch_id in by_id:
-            prev = by_id[batch_id]
-            if prev[0] != start or prev[1] != end or prev[2] != blocks:
-                raise ConflictingRecordsError(
-                    f"batch {batch_id} has conflicting duplicate records"
-                )
-        by_id[batch_id] = (start, end, blocks)
+        records = [parse_report(block) for block in blocks]
+        if batch_id not in by_id:
+            by_id[batch_id] = (start, end, records)
+            continue
+        first = by_id[batch_id]
+        if first[:2] != (start, end) or _untimed(first[2]) != _untimed(records):
+            raise ConflictingRecordsError(
+                f"batch {batch_id} has conflicting duplicate records"
+            )
     out: List[ReportOrError] = []
     for batch_id in sorted(by_id, key=lambda b: by_id[b][0]):
-        for block in by_id[batch_id][2]:
-            out.append(parse_report(block))
+        out.extend(by_id[batch_id][2])
     return out
+
+
+def _untimed(records: List[ReportOrError]) -> List[ReportOrError]:
+    return [
+        replace(r, elapsed_ms=0) if isinstance(r, GridSearchReport) else r
+        for r in records
+    ]

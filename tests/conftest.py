@@ -23,6 +23,26 @@ def random_solution_grid(shape: GridShape, rng: random.Random) -> Grid:
     return count_completions(shape, cells, 1).completions[0]
 
 
+def without_speed_ups(instance, config, degree_checks=False,
+                      consolidation=False, effective_size=False):
+    """(instance, engine config) with each of the engine's speed-ups kept
+    when its argument is true, else turned off by its own setting: no
+    family above degree 1, no consolidation, first-unhit selection."""
+    from dataclasses import replace
+
+    from minclue.hitting import HittingInstance, SelectionSchedule
+
+    if not degree_checks:
+        instance = HittingInstance(
+            instance.universe_size, instance.k, {1: instance.degree_one()}
+        )
+    if not consolidation:
+        config = replace(config, consolidation={})
+    if not effective_size:
+        config = replace(config, selection=SelectionSchedule(0, 0, 0))
+    return instance, config
+
+
 def clue_cells(grid: Grid, mask: int) -> tuple:
     return tuple(d if (mask >> c) & 1 else 0 for c, d in enumerate(grid.digits))
 

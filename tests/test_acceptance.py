@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import clue_cells, random_solution_grid
+from conftest import clue_cells, random_solution_grid, without_speed_ups
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
 from minclue.checker import search_grid
 from minclue.grid import (
@@ -112,24 +112,25 @@ class TestCriterion3HittingOracle:
             ][:8]
             if disjoint_pairs and rng.random() < 0.6:
                 families[2] = disjoint_pairs
-            instance = HittingInstance.from_sets(universe, k, families)
-            oracle = brute_force_hitting_sets(instance)
+            full = HittingInstance.from_sets(universe, k, families)
+            oracle = brute_force_hitting_sets(full)
             if len(oracle) > 4000:
                 continue
+            config = EngineConfig(
+                consolidation={1: (max(1, k - 1), 64), 2: (1, 64)},
+                selection=SelectionSchedule(full_through=max(0, k - 2)),
+            )
+            # each speed-up on, or off by its own setting
             for flags in product((True, False), repeat=3):
-                config = EngineConfig(
-                    *flags,
-                    consolidation={1: (max(1, k - 1), 64), 2: (1, 64)},
-                    selection=SelectionSchedule(full_through=max(0, k - 2)),
-                )
+                instance, switched = without_speed_ups(full, config, *flags)
                 got = []
-                enumerate_hitting_sets(instance, config, per_candidate(k, got.append))
+                enumerate_hitting_sets(instance, switched, per_candidate(k, got.append))
                 assert sorted(got) == oracle
                 assert len(got) == len(set(got))
             checked += 1
         elapsed = time.perf_counter() - started
         assert elapsed < 120.0
-        report(3, elapsed, f"{checked} instances x 8 flag combinations")
+        report(3, elapsed, f"{checked} instances x 8 speed-up combinations")
 
 
 class TestCriterion4WorkedInstance:

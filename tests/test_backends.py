@@ -277,6 +277,34 @@ class TestSolverParityAcrossShapes:
                 assert py.solve_limit(*args) == native.solve_limit(*args)
 
 
+class TestCIntArguments:
+    """The native binding refuses an int argument past a C int; ctypes
+    would wrap it silently.  The reference takes any int."""
+
+    def test_solve_limit(self, backends):
+        if "native" not in backends:
+            pytest.skip("single backend")
+        args = (2, 2, (0,) * 16)
+        assert backends["python"].solve_limit(*args, 2**32 + 1)[0] == 288
+        assert backends["native"].solve_limit(*args, 2**31 - 1)[0] == 288
+        with pytest.raises(ValueError, match="C int"):
+            backends["native"].solve_limit(*args, 2**32 + 1)
+
+    def test_run_hitting_consolidation_cap(self, backends):
+        """A plan made by hand: EngineConfig refuses such a cap."""
+        if "native" not in backends:
+            pytest.skip("single backend")
+        instance = HittingInstance(8, 2, {1: (0b11, 0b1100, 0b110000)})
+        plan = list(resolve_plan(instance, EngineConfig()))
+        plan[5] = {1: (1, 2**32 + 1)}  # consolidations
+        emitted = []
+        stats = backends["python"].run_hitting(*plan, emitted.append, 1)
+        assert stats["emitted"] == 0 and stats["consolidations"] > 0
+        with pytest.raises(ValueError, match="C int"):
+            backends["native"].run_hitting(*plan, emitted.append, 1)
+        assert emitted == []
+
+
 def reference_verdict(grid, cells) -> int:
     """The candidate's class from the solver and its Python double-check."""
     mask = 0

@@ -127,25 +127,26 @@ class TestEquivalenceInvariance:
 
 class TestSearchCatalog:
     def test_empty_input(self):
-        assert search_catalog([], 4) == []
+        assert list(search_catalog([], 4)) == []
 
     def test_both_representatives_k3(self, reps_4x4):
         lines = [str(rep) for rep in reps_4x4]
-        reports = search_catalog(lines, 3)
+        reports = list(search_catalog(lines, 3))
         assert len(reports) == 2
         assert all(r.proper_found == 0 for r in reports)
 
     def test_malformed_line_produces_error_record(self, reps_4x4):
         lines = [str(reps_4x4[0]), "11112222333344445", str(reps_4x4[1])]
-        reports = search_catalog(lines, 3)
+        reports = list(search_catalog(lines, 3))
         assert len(reports) == 3
         assert isinstance(reports[1], GridSearchError)
+        assert reports[1].line_no == 1
         assert isinstance(reports[0], GridSearchReport)
         assert isinstance(reports[2], GridSearchReport)
 
     def test_duplicate_lines_identical_reports(self, reps_4x4):
         line = str(reps_4x4[0])
-        a, b = search_catalog([line, line], 4)
+        a, b = list(search_catalog([line, line], 4))
         assert replace(a, elapsed_ms=0) == replace(b, elapsed_ms=0)
 
 

@@ -106,6 +106,14 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_limit_past_a_c_int_is_a_data_error(self, monkeypatch):
+        code, out, err = run_cli(
+            ["solve", "--limit", "4294967297"],
+            stdin_text="0000000000000000\n", monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert "limit must be in 1..2147483647" in err and out == ""
+
 
 class TestCanon:
     def test_canonical_line(self, tmp_path, monkeypatch):
@@ -221,7 +229,7 @@ class TestSearchCli:
 
     def test_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("family_cap=2\ndegree_pruning=1\n")
+        config.write_text("family_cap=2\nclique_degrees=2\n")
         grids = tmp_path / "grids.txt"
         grids.write_text("1234341221434321\n")
         code, out, _ = run_cli(
@@ -260,16 +268,28 @@ class TestSearchCli:
         grids.write_text("1234341221434321\n")
         config = tmp_path / "run.cfg"
         _, out, _ = run_cli(["search", str(grids), "--k", "4"])
-        old_header = [ln for ln in out.splitlines() if ln.startswith("#")]
-        old_header.insert(5, "# dedup=1")  # where older headers wrote it
-        for text in ("family_cap=2\ndedup=1\n", "\n".join(old_header) + "\n"):
-            config.write_text(text)
-            code, out, err = run_cli(
-                ["search", str(grids), "--k", "4", "--config", str(config)]
-            )
-            assert code == 2
-            assert "unknown configuration key 'dedup'" in err
-            assert out == ""
+        header = [ln for ln in out.splitlines() if ln.startswith("#")]
+        for key in ("dedup", "degree_pruning", "consolidation", "effective_size"):
+            # where older headers wrote it
+            old_header = header[:5] + [f"# {key}=1"] + header[5:]
+            for text in (f"family_cap=2\n{key}=1\n", "\n".join(old_header) + "\n"):
+                config.write_text(text)
+                code, out, err = run_cli(
+                    ["search", str(grids), "--k", "4", "--config", str(config)]
+                )
+                assert code == 2
+                assert f"unknown configuration key '{key}'" in err
+                assert out == ""
+
+    def test_malformed_line_carries_its_index(self, tmp_path):
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n123\n1111111111111111\n")
+        code, out, _ = run_cli(["search", str(grids), "--k", "4"])
+        assert code == 2
+        body = [ln for ln in out.splitlines() if not ln.startswith(("#", "\t"))]
+        assert body[0].startswith("1234341221434321\t4\t")
+        assert body[1].startswith("!error\t1\t")
+        assert body[2].startswith("!error\t2\t")
 
     def test_config_k_must_match(self, tmp_path):
         config = tmp_path / "run.cfg"

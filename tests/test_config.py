@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minclue.checker import DEFAULT_CLIQUE_CAPS, SearchConfig
+from minclue.checker import DEFAULT_CLIQUE_CAPS, SearchConfig, baseline_config
 from minclue.config import (
     build_search_config,
     config_digest,
@@ -18,18 +18,25 @@ positive = st.integers(1, 10**6)
 
 @st.composite
 def search_configs(draw):
+    # each speed-up drawn on or off, off by its own setting
+    degree_checks, consolidating, effective_size = draw(
+        st.tuples(st.booleans(), st.booleans(), st.booleans())
+    )
     engine = EngineConfig(
-        enable_degree_pruning=draw(st.booleans()),
-        enable_consolidation=draw(st.booleans()),
-        enable_effective_size=draw(st.booleans()),
         consolidation=draw(
             st.dictionaries(degrees, st.tuples(st.integers(1, 99), st.integers(1, 9999)))
-        ),
+        )
+        if consolidating
+        else {},
         selection=SelectionSchedule(
             draw(st.none() | st.integers(-5, 30)), draw(small), draw(small)
-        ),
+        )
+        if effective_size
+        else SelectionSchedule(0, 0, 0),
     )
-    clique_degrees = tuple(draw(st.lists(st.integers(2, 8), max_size=6)))
+    clique_degrees = (
+        tuple(draw(st.lists(st.integers(2, 8), max_size=6))) if degree_checks else ()
+    )
     clique_caps = draw(st.dictionaries(st.integers(2, 8), positive))
     for degree in clique_degrees:
         if degree not in DEFAULT_CLIQUE_CAPS:  # such a degree needs its own cap
@@ -90,15 +97,14 @@ class TestRoundTrip:
             ({"consolidate.1": "0:64"}, "triggers and caps"),
             ({"consolidate.2": "3:0"}, "triggers and caps"),
             ({"max_set_size": "3"}, "max_set_size must be at least 4"),
+            ({"consolidate.1": "7:4294967297"}, "triggers and caps"),
+            ({"consolidate.1": "2147483648:8"}, "triggers and caps"),
+            ({"selection": "auto:-1:5"}, "widths"),
         ],
     )
     def test_values_no_grid_can_use_refused(self, pairs, message):
         with pytest.raises(ValueError, match=message):
             build_search_config(pairs)
-
-    def test_consolidation_checked_when_disabled_too(self):
-        with pytest.raises(ValueError, match="triggers and caps"):
-            EngineConfig(enable_consolidation=False, consolidation={1: (0, 8)})
 
     def test_comments_outside_a_run_header(self):
         text = "# family_cap=3\nfamily_cap=2\n# consolidation=0\n"
@@ -114,6 +120,15 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             build_search_config({"clique_start": "3"})
 
+    def test_baseline_in_config_text(self):
+        """The README's spelling of the baseline parses to baseline_config()."""
+        text = (
+            "clique_degrees=\n"
+            + "".join(f"consolidate.{d}=off\n" for d in range(1, 7))
+            + "selection=0:0:0\n"
+        )
+        assert build_search_config(parse_config_text(text)) == (baseline_config(), None)
+
 
 class TestDigest:
     def test_same_config_same_digest(self):
@@ -123,4 +138,4 @@ class TestDigest:
         base = config_digest(SearchConfig())
         assert config_digest(SearchConfig(family_cap=100)) != base
         assert config_digest(SearchConfig(clique_starts={4: 3})) != base
-        assert config_digest(SearchConfig(engine=EngineConfig(enable_consolidation=False))) != base
+        assert config_digest(SearchConfig(engine=EngineConfig(consolidation={}))) != base

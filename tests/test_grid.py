@@ -4,7 +4,7 @@ import pytest
 
 from minclue.errors import (
     BadCharacterError,
-    ClueContradictionError,
+    InconsistentCluesError,
     RuleViolationError,
     WrongLengthError,
 )
@@ -18,11 +18,11 @@ from minclue.grid import (
     cell_col,
     cell_row,
     format_grid,
-    format_puzzle,
+    parse_clue_cells,
     parse_grid,
-    parse_puzzle,
     unit_cells,
 )
+from minclue.solver import count_completions
 
 VALID_4X4 = "1234341221434321"
 
@@ -130,22 +130,25 @@ class TestParseFormat:
 
 class TestPuzzle:
     def test_all_blank(self):
-        grid = parse_grid(VALID_4X4)
-        puzzle = parse_puzzle("." * 16, grid)
-        assert len(puzzle.clues) == 0
-        assert format_puzzle(puzzle) == "0" * 16
+        shape, cells = parse_clue_cells("." * 16)
+        assert shape == SHAPE_4X4
+        assert cells == (0,) * 16
+        assert count_completions(shape, cells, 288).count == 288
 
     def test_full_clues(self):
         grid = parse_grid(VALID_4X4)
-        puzzle = parse_puzzle(VALID_4X4, grid)
-        assert len(puzzle.clues) == 16
-        assert puzzle.cells() == grid.digits
+        shape, cells = parse_clue_cells(VALID_4X4)
+        assert sum(1 for d in cells if d) == 16
+        assert cells == grid.digits
+        assert count_completions(shape, cells).completions == (grid,)
 
     def test_contradicting_clue(self):
+        # cell 0 holds 1 in the grid: a 2 there, with the grid's other
+        # digits as clues, repeats a digit in a unit
         grid = parse_grid(VALID_4X4)
-        line = "2" + "0" * 15  # cell 0 holds 1 in the grid
-        with pytest.raises(ClueContradictionError):
-            parse_puzzle(line, grid)
+        _shape, cells = parse_clue_cells("2" + "0" * 15)
+        with pytest.raises(InconsistentCluesError):
+            count_completions(SHAPE_4X4, cells[:1] + grid.digits[1:])
 
 
 class TestCellSet:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import without_speed_ups
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
 from minclue.checker import CONFIRM_BATCH
 from minclue import hitting
@@ -218,7 +219,7 @@ class TestConsolidate:
         rng = random.Random(77)
         for _ in range(25):
             instance = random_instance(rng, max_universe=24, max_k=5, max_sets=14)
-            base = run(instance, EngineConfig(enable_consolidation=False))
+            base = run(instance, EngineConfig(consolidation={}))
             generous = EngineConfig(
                 consolidation={
                     1: (max(1, instance.k - 1), 4096),
@@ -248,7 +249,7 @@ class TestEffectiveSizeAndSelection:
         """Without effective sizes the engine draws from the first unhit
         set: under cell 1 that is B, whatever C's live cells."""
         instance = make_instance(10, 3, {1: self.SETS})
-        config = EngineConfig(enable_effective_size=False)
+        config = EngineConfig(selection=SelectionSchedule(0, 0, 0))
         got, stats = run_each_backend(backends, instance, config)
         assert sorted(got) == brute_force_hitting_sets(instance)
         assert got[-6:] == [(1, 2, 5), (1, 2, 6), (1, 3, 5),
@@ -275,20 +276,19 @@ class TestOracleEquivalence:
     def test_flag_combinations_on_random_instances(self):
         rng = random.Random(20260808)
         for trial in range(40):
-            instance = random_instance(rng, max_universe=28, max_k=5, max_sets=16)
-            oracle = brute_force_hitting_sets(instance)
+            full = random_instance(rng, max_universe=28, max_k=5, max_sets=16)
+            oracle = brute_force_hitting_sets(full)
+            config = EngineConfig(
+                consolidation={
+                    1: (max(1, full.k - 1), 64),
+                    2: (1, 64),
+                    3: (1, 64),
+                },
+                selection=SelectionSchedule(full_through=full.k - 2),
+            )
             for flags in product((True, False), repeat=3):
-                config = EngineConfig(
-                    *flags,
-                    consolidation={
-                        1: (max(1, instance.k - 1), 64),
-                        2: (1, 64),
-                        3: (1, 64),
-                    },
-                    selection=SelectionSchedule(full_through=instance.k - 2),
-                )
-                stats = {}
-                got = run(instance, config, stats)
+                instance, switched = without_speed_ups(full, config, *flags)
+                got = run(instance, switched)
                 assert sorted(got) == oracle, (trial, flags)
                 assert len(got) == len(set(got)), (trial, flags)
 
@@ -309,9 +309,64 @@ class TestOracleEquivalence:
         rng = random.Random(31337)
         for _ in range(30):
             instance = random_instance(rng, max_universe=24, max_k=5, max_sets=14)
-            base = run(instance, EngineConfig(enable_degree_pruning=False))
-            pruned = run(instance, EngineConfig(enable_degree_pruning=True))
+            base = run(*without_speed_ups(instance, EngineConfig(), False, True, True))
+            pruned = run(instance, EngineConfig())
             assert base == pruned
+
+
+class TestPinnedPlans:
+    """The plans that the default and the baseline configurations resolve
+    to on a fixed instance with degree-2 and degree-3 families."""
+
+    INSTANCE = make_instance(
+        20, 8,
+        {1: [{0, 1, 2}, {3, 4}, {5, 6, 7, 8}, {9, 10}, {0, 11}],
+         2: [{3, 4, 9, 10}, {0, 5, 6, 7, 8, 11}],
+         3: [{0, 1, 2, 3, 4, 9, 10}]},
+    )
+    DEGREE_ONE = [24, 1536, 2049, 7, 480]  # sorted by size
+    # modes are (SEL_* code, width): 0 full, 1 window, 2 short, 3 first unhit
+
+    def test_default_plan(self):
+        assert hitting.resolve_plan(self.INSTANCE, EngineConfig()) == (
+            20, 8, [1, 2, 3], [self.DEGREE_ONE, [1560, 2529], [1567]],
+            {2: 7, 3: 6},
+            {1: (7, 128), 2: (5, 1536), 3: (5, 1536)},
+            [(0, 0), (0, 0), (1, 64), (2, 5), (3, 0), (3, 0), (3, 0), (3, 0)],
+        )
+
+    def test_baseline_plan(self):
+        """No check levels, no consolidation and first-unhit selection at
+        every level, on the degree-1 family baseline_config searches."""
+        from minclue.checker import baseline_config
+
+        config = baseline_config()
+        assert config.clique_degrees == ()
+        instance = HittingInstance(20, 8, {1: self.INSTANCE.degree_one()})
+        assert hitting.resolve_plan(instance, config.engine) == (
+            20, 8, [1], [self.DEGREE_ONE], {}, {}, [(3, 0)] * 8,
+        )
+
+    def test_zero_widths_draw_from_the_first_unhit_set(self):
+        for window, short in ((0, 5), (64, 0)):
+            plan = hitting.resolve_plan(
+                self.INSTANCE,
+                EngineConfig(selection=SelectionSchedule(2, window, short)),
+            )
+            modes = plan[6]
+            assert modes[2] == ((1, 64) if window else (3, 0))
+            assert modes[3] == ((2, 5) if short else (3, 0))
+
+    def test_negative_widths_refused(self):
+        for widths in ((-1, 5), (64, -1)):
+            with pytest.raises(ValueError, match="widths"):
+                SelectionSchedule(None, *widths)
+
+    @pytest.mark.parametrize("entry", [(2**31, 8), (7, 2**31), (7, 2**32 + 1)])
+    def test_trigger_or_cap_past_a_c_int_refused(self, entry):
+        with pytest.raises(ValueError, match="triggers and caps"):
+            EngineConfig(consolidation={1: entry})
+        EngineConfig(consolidation={1: (2**31 - 1, 2**31 - 1)})  # the largest C int
 
 
 class TestBruteForceOracle:
@@ -611,7 +666,7 @@ class TestEarlyChildCut:
         oracle = brute_force_hitting_sets(instance)
         assert sorted(got) == [s for s in oracle if not {0, 2, 4} <= set(s)]
         unpruned, base = run_each_backend(
-            backends, instance, EngineConfig(enable_degree_pruning=False)
+            backends, HittingInstance(10, 4, {1: instance.degree_one()})
         )
         assert sorted(unpruned) == oracle
         assert stats["nodes"] == base["nodes"] - 4  # the cut node's 4 children
@@ -657,13 +712,13 @@ class TestBackendParityOnEngine:
         rng = random.Random(616)
         py, native = backends["python"], backends["native"]
         for _ in range(25):
-            instance = random_instance(rng, max_universe=30, max_k=5, max_sets=16)
-            for flags in ((True,) * 3, (False,) * 3, (False, True, False)):
-                config = EngineConfig(
-                    *flags,
-                    consolidation={1: (max(1, instance.k - 1), 32), 2: (1, 32)},
-                )
-                assert_engine_parity(py, native, resolve_plan(instance, config))
+            full = random_instance(rng, max_universe=30, max_k=5, max_sets=16)
+            config = EngineConfig(
+                consolidation={1: (max(1, full.k - 1), 32), 2: (1, 32)},
+            )
+            for flags in product((True, False), repeat=3):
+                plan = resolve_plan(*without_speed_ups(full, config, *flags))
+                assert_engine_parity(py, native, plan)
 
     def test_degree_cut_above_level_63(self, backends):
         """k = 66: the degree-2 check runs at level 65 and cuts the branch
@@ -677,7 +732,8 @@ class TestBackendParityOnEngine:
             128, 66, {1: singletons + [{64, 100}, {65, 101}], 2: [{100, 101}],
                       3: [{5, 70}]}
         )
-        for config in (EngineConfig(), EngineConfig(True, False, False)):
+        checks_only = EngineConfig(consolidation={}, selection=SelectionSchedule(0, 0, 0))
+        for config in (EngineConfig(), checks_only):
             stats = assert_engine_parity(
                 backends["python"], backends["native"], resolve_plan(instance, config)
             )
@@ -745,9 +801,6 @@ def wide_instances(draw):
     if k >= 4:
         consolidation[2] = (draw(st.integers(1, k - 2)), draw(st.integers(1, 150)))
     config = EngineConfig(
-        enable_degree_pruning=draw(st.booleans()),
-        enable_consolidation=True,
-        enable_effective_size=draw(st.booleans()),
         consolidation=consolidation,
         selection=SelectionSchedule(
             full_through=draw(st.integers(0, k)),
@@ -755,4 +808,8 @@ def wide_instances(draw):
             short_width=draw(st.integers(1, 6)),
         ),
     )
-    return make_instance(universe, k, families), config
+    # degree checks and effective sizes on or off; consolidation stays on
+    return without_speed_ups(
+        make_instance(universe, k, families), config,
+        draw(st.booleans()), True, draw(st.booleans()),
+    )

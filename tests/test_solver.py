@@ -4,14 +4,8 @@ import pytest
 
 from conftest import brute_force_count, clue_cells, random_solution_grid
 from minclue.errors import InconsistentCluesError
-from minclue.grid import SHAPE_4X4, SHAPE_9X9, CellSet, Grid, Puzzle, parse_grid
-from minclue.solver import (
-    SolveOutcome,
-    count_completions,
-    is_proper,
-    puzzle_outcome,
-    verify_two_completions,
-)
+from minclue.grid import SHAPE_4X4, SHAPE_9X9, CellSet, Grid, parse_grid
+from minclue.solver import SolveOutcome, count_completions, verify_two_completions
 
 VALID_4X4 = parse_grid("1234341221434321")
 
@@ -54,6 +48,11 @@ class TestCountCompletions:
     def test_limit_validation(self):
         with pytest.raises(ValueError):
             count_completions(SHAPE_4X4, (0,) * 16, 0)
+        # the native solver takes the limit as a C int
+        for limit in (2**31, 2**32 + 1):
+            with pytest.raises(ValueError, match="limit"):
+                count_completions(SHAPE_4X4, (0,) * 16, limit)
+        assert count_completions(SHAPE_4X4, (0,) * 16, 2**31 - 1).count == 288
 
     def test_determinism(self):
         rng = random.Random(3)
@@ -96,26 +95,28 @@ class TestMonotonicity:
             assert more >= base
 
 
+def is_proper(grid: Grid, clues: CellSet) -> bool:
+    return count_completions(grid.shape, clue_cells(grid, clues.mask)).count == 1
+
+
 class TestIsProper:
     def test_full_clue_set(self):
-        puzzle = Puzzle(VALID_4X4, CellSet.full(SHAPE_4X4))
-        assert is_proper(puzzle)
+        assert is_proper(VALID_4X4, CellSet.full(SHAPE_4X4))
 
     def test_empty_clue_set(self):
         rng = random.Random(9)
         grid = random_solution_grid(SHAPE_9X9, rng)
-        assert not is_proper(Puzzle(grid, CellSet.empty(SHAPE_9X9)))
+        assert not is_proper(grid, CellSet.empty(SHAPE_9X9))
 
     def test_seven_clues_never_proper(self):
         rng = random.Random(10)
         for _ in range(5):
             grid = random_solution_grid(SHAPE_9X9, rng)
             clues = CellSet.from_cells(SHAPE_9X9, rng.sample(range(81), 7))
-            assert not is_proper(Puzzle(grid, clues))
+            assert not is_proper(grid, clues)
 
     def test_proper_puzzle_completion_is_the_grid(self):
-        puzzle = Puzzle(VALID_4X4, CellSet.full(SHAPE_4X4))
-        outcome = puzzle_outcome(puzzle, 2)
+        outcome = count_completions(SHAPE_4X4, VALID_4X4.digits, 2)
         assert outcome.completions[0] == VALID_4X4
 
 

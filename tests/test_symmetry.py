@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import random_solution_grid
-from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9, CellSet, Puzzle, parse_grid
-from minclue.solver import is_proper
+from conftest import clue_cells, random_solution_grid
+from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9, parse_grid
+from minclue.solver import count_completions
 from minclue.symmetry import (
     Transformation,
     apply,
@@ -164,12 +164,10 @@ class TestEquivalencePreservesProperness:
             mask = 0
             for c in rng.sample(range(16), clue_count):
                 mask |= 1 << c
-            puzzle = Puzzle(grid, CellSet(SHAPE_4X4, mask))
             t = random_transformation(SHAPE_4X4, rng)
-            image = Puzzle(
-                apply(t, grid), CellSet(SHAPE_4X4, apply_cells(t, SHAPE_4X4, mask))
-            )
-            assert is_proper(puzzle) == is_proper(image)
+            image = clue_cells(apply(t, grid), apply_cells(t, SHAPE_4X4, mask))
+            proper = count_completions(SHAPE_4X4, clue_cells(grid, mask)).count == 1
+            assert proper == (count_completions(SHAPE_4X4, image).count == 1)
 
 
 class TestScsBracket:

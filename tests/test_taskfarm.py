@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -254,6 +255,23 @@ class TestMergeOutputs:
         out_path.write_text(text + first_frame)
         merged = merge_outputs(out_path)
         assert len(merged) == 50
+
+    def test_duplicate_differing_only_in_timing_collapses(
+        self, catalogue_50, tmp_path
+    ):
+        """A batch re-run after a crash between its output write and its
+        checkpoint save is timed anew; the first record is kept."""
+        cp_path, out_path = farm_paths(tmp_path, "retimed")
+        run_farm(catalogue_50, 4, workers=1, batch_size=25,
+                 checkpoint_path=cp_path, output_path=out_path)
+        text = out_path.read_text()
+        reference = merge_outputs(out_path)
+        frame = "batch 0 " + text.split("\nbatch 0 ", 1)[1].split("end batch 0\n")[0]
+        retimed = re.sub(r"^(\d{16}(\t\d+){4})\t\d+$", r"\1\t987654", frame,
+                         flags=re.M)
+        assert retimed.count("\t987654\n") == 25
+        out_path.write_text(text + retimed + "end batch 0\n")
+        assert merge_outputs(out_path) == reference
 
     def test_conflicting_duplicates_error(self, catalogue_50, tmp_path):
         cp_path, out_path = farm_paths(tmp_path, "conflict")
