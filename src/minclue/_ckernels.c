@@ -870,18 +870,16 @@ done:
 /* ------------------------------------------------------------------------
  * hitting-set engine */
 
-enum { SEL_FULL = 0, SEL_FIRST_M = 1, SEL_FIRST_UNHIT_M = 2, SEL_FIRST_UNHIT = 3 };
-
 /* One degree's family and its rows.  Every node at the trigger level
  * consolidates the degree to the sets still unhit there, at most `cap` of
  * them, in slot order; `consolidations` counts those nodes, one per
  * consolidated degree.  When cap >= m_orig every unhit set is kept in the
  * same order and only slot numbers change, and the sole reader of slot
- * numbers is the degree-1 SEL_FIRST_M window.  So `rebuilds` is 0 when
- * cap >= m_orig and, for degree 1, no level from the trigger on selects by
- * SEL_FIRST_M: the consolidation is counted but builds nothing, the
- * subtree reads the original table, and the *_cons arrays are never
- * allocated. */
+ * numbers is a degree-1 selection window that ends inside the family.  So
+ * `rebuilds` is 0 when cap >= m_orig and, for degree 1, no level from the
+ * trigger on has 0 < window < m_orig: the consolidation is counted but
+ * builds nothing, the subtree reads the original table, and the *_cons
+ * arrays are never allocated. */
 typedef struct {
     int degree;
     int m_orig;        /* family size before consolidation */
@@ -913,8 +911,8 @@ typedef struct {
     u64 dead_lo[MAX_K + 1];
     u64 dead_hi[MAX_K + 1];
     int hitset[MAX_K];
-    const int *mode_code;
-    const int *mode_param;
+    const int *windows;
+    const int *counts;
     mc_emit_fn emit;
     u8 *batch;         /* emitted candidates not yet passed to emit */
     int batch_len;     /* bytes used in batch */
@@ -1033,18 +1031,15 @@ static void consolidate_degree(Engine *eng, DegState *st, int level)
 
 /* Index of the degree-1 set to draw from, or -1 to cut the branch.  The
  * unhit slots are the set bits of the state row's complement, taken a word
- * at a time in slot order:
- *   SEL_FIRST_UNHIT    the first unhit slot;
- *   SEL_FULL           min effective size (live cells) over all of them;
- *   SEL_FIRST_UNHIT_M  min effective size over the first `param` of them;
- *   SEL_FIRST_M        min effective size over those below slot `param`,
- *                      else the first unhit slot at or past it.
- * Ties go to the lower slot; a set with no live cell ends the scan and
- * cuts the branch (except under SEL_FIRST_UNHIT).  Slots past m in the
- * last word read as unhit, so every mode stops at the first unhit slot at
- * or past `end`: m, or the SEL_FIRST_M window.  A node selects only while
- * some set is unhit, so when no slot below `end` is, the first one past
- * it is a set of the family. */
+ * at a time in slot order.  The scan takes min effective size (live cells)
+ * over the unhit slots below the level's window, looking at no more than
+ * its count of them; ties go to the lower slot, and a set with no live
+ * cell ends the scan and cuts the branch.  When it has looked at none, it
+ * takes the first unhit slot.  Slots past m in the last word read as
+ * unhit, so the scan stops at the first unhit slot at or past `end` (m, or
+ * the window) or past the count.  A node selects only while some set is
+ * unhit, so when no slot below `end` is, the first one past it is a set of
+ * the family. */
 static int select_slot(Engine *eng, int level)
 {
     DegState *st = eng->deg1;
@@ -1052,8 +1047,8 @@ static int select_slot(Engine *eng, int level)
     int cons = consolidated_post(st, level);
     int m = cons ? st->m_cons : st->m_orig;
     const u64 *masks = cons ? st->masks_cons : st->masks_orig;
-    int mode = eng->mode_code[level], param = eng->mode_param[level];
-    int end = mode == SEL_FIRST_M && param < m ? param : m;
+    int count = eng->counts[level];
+    int end = eng->windows[level] < m ? eng->windows[level] : m;
     u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
     int best = -1, best_eff = 1 << 30, seen = 0;
     for (int w = 0; (w << 6) < m; ++w) {
@@ -1061,26 +1056,20 @@ static int select_slot(Engine *eng, int level)
         while (unhit) {
             int i = (w << 6) + low_index64(unhit), eff;
             unhit &= unhit - 1;
-            if (i >= end) /* best_eff > 0 here */
+            if (i >= end || seen == count) /* best_eff > 0 here */
                 return best >= 0 ? best : i;
-            if (mode == SEL_FIRST_UNHIT)
-                return i;
             eff = popcount64(masks[i * 2] & alive_lo)
                   + popcount64(masks[i * 2 + 1] & alive_hi);
             if (eff < best_eff) {
                 best_eff = eff;
                 best = i;
-                if (eff == 0)
-                    goto done;
+                if (eff == 0) {
+                    eng->selection_cuts += 1;
+                    return -1;
+                }
             }
-            if (mode == SEL_FIRST_UNHIT_M && ++seen == param)
-                goto done;
+            seen += 1;
         }
-    }
-done:
-    if (best_eff == 0) {
-        eng->selection_cuts += 1;
-        return -1;
     }
     return best;
 }
@@ -1270,7 +1259,7 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
     st->rebuilds = trigger >= 0 && cap < m;
     if (trigger >= 0 && degree == 1)
         for (int level = trigger; level < eng->k; ++level)
-            st->rebuilds |= eng->mode_code[level] == SEL_FIRST_M;
+            st->rebuilds |= eng->windows[level] > 0 && eng->windows[level] < m;
     if (st->rebuilds) {
         st->cap = m == 0 ? 1 : (cap < m ? cap : m);
         if (st->cap < 1)
@@ -1287,21 +1276,22 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
 /* Positional twin of _pykernels.run_hitting: every k-subset of the
  * universe that hits each degree-1 set, emitted exactly once through the
  * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
- * counts[di] masks of 16 little-endian bytes each (cells 0..63, then
+ * sizes[di] masks of 16 little-endian bytes each (cells 0..63, then
  * 64..127), concatenated over all degrees in `masks`; check_levels[di] or
- * -1; triggers[di] or -1 with caps[di].  Per level below k: mode_codes and
- * mode_params.  Candidates go to emit in batches, k ascending cell bytes
- * each: `batch` candidates per call, the rest in one last call (none when
- * nothing is left).  On return stats holds nodes, emitted, selection_cuts,
- * consolidations and then the cut count per degree; cut_levels holds k+1
- * flags per degree.  Returns MC_OK, MC_ABORTED when emit asked to stop,
- * MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of range (batch < 1
- * included) or a mask with cells outside the universe. */
+ * -1; triggers[di] or -1 with caps[di].  Per level below k: the selection
+ * bounds windows and counts (see select_slot).  Candidates go to emit in
+ * batches, k ascending cell bytes each: `batch` candidates per call, the
+ * rest in one last call (none when nothing is left).  On return stats
+ * holds nodes, emitted, selection_cuts, consolidations and then the cut
+ * count per degree; cut_levels holds k+1 flags per degree.  Returns MC_OK,
+ * MC_ABORTED when emit asked to stop, MC_NO_MEMORY, or MC_BAD_ARGUMENT for
+ * sizes out of range (batch < 1 included) or a mask with cells outside the
+ * universe. */
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
-                   const int *counts, const u8 *masks,
+                   const int *sizes, const u8 *masks,
                    const int *check_levels, const int *triggers,
-                   const int *caps, const int *mode_codes,
-                   const int *mode_params, mc_emit_fn emit, int batch,
+                   const int *caps, const int *windows,
+                   const int *counts, mc_emit_fn emit, int batch,
                    long long *stats, u8 *cut_levels)
 {
     Engine *eng;
@@ -1324,16 +1314,16 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     eng->universe = universe;
     eng->k = k;
     eng->ndeg = ndeg;
-    eng->mode_code = mode_codes;
-    eng->mode_param = mode_params;
+    eng->windows = windows;
+    eng->counts = counts;
     eng->emit = emit;
     memset(cut_levels, 0, (size_t)ndeg * (k + 1));
     for (int di = 0; di < ndeg && status == MC_OK; ++di) {
         DegState *st = &eng->deg[di];
         st->cut_levels = cut_levels + (size_t)di * (k + 1);
-        status = init_degree(eng, st, degrees[di], counts[di], masks,
+        status = init_degree(eng, st, degrees[di], sizes[di], masks,
                              check_levels[di], triggers[di], caps[di]);
-        masks += (size_t)16 * counts[di];
+        masks += (size_t)16 * sizes[di];
         if (degrees[di] == 1)
             eng->deg1 = st;
     }

@@ -219,7 +219,7 @@ def cliques(masks, degree: int, start: int, cap: int):
 
 
 def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
-                consolidations, modes, emit, batch: int):
+                consolidations, bounds, emit, batch: int):
     """Positional twin of the reference engine; see _pykernels.run_hitting
     for the argument contract.  The C side fills each batch and `emit`
     receives it as one bytes object."""
@@ -239,8 +239,8 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         _c_ints(check_levels.get(d, -1) for d in degrees),
         _c_ints(trigger for trigger, _cap in entries),
         _c_ints(cap for _trigger, cap in entries),
-        _c_ints(modes[level][0] for level in range(k)),
-        _c_ints(modes[level][1] for level in range(k)),
+        _c_ints(bounds[level][0] for level in range(k)),
+        _c_ints(bounds[level][1] for level in range(k)),
         callback,
         _c_int(batch),
         counters,

@@ -600,13 +600,6 @@ def cliques(masks, degree: int, start: int, cap: int):
 # ---------------------------------------------------------------------------
 # hitting-set engine
 
-# selection mode codes shared with the compiled backend
-SEL_FULL = 0
-SEL_FIRST_M = 1
-SEL_FIRST_UNHIT_M = 2
-SEL_FIRST_UNHIT = 3
-
-
 class _DegreeState:
     """Per-degree family state: current masks/hitvec table and widths."""
 
@@ -639,7 +632,7 @@ def run_hitting(
     masks_by_degree,
     check_levels,
     consolidations,
-    modes,
+    bounds,
     emit,
     batch,
 ):
@@ -653,7 +646,12 @@ def run_hitting(
     masks_by_degree   per degree, list of cell masks (ints)
     check_levels      per degree, level at which to test all-hit (or -1)
     consolidations    per degree, (trigger_level, cap) or None
-    modes             per level 0..k-1, (mode_code, parameter)
+    bounds            per level 0..k-1, (window, count): draw from the
+                      unhit degree-1 set of fewest live cells among the
+                      unhit slots below `window`, looking at no more than
+                      `count` of them (ties to the lower slot; one with no
+                      live cell cuts the branch); looking at none, draw
+                      from the first unhit slot
     emit              callable receiving the hitting sets in batches: one
                       bytes object of whole sets, k ascending cell bytes
                       each, in emission order; must not re-enter the engine
@@ -729,75 +727,24 @@ def run_hitting(
     def select(level: int) -> int:
         """Index of the degree-1 set to draw from, or -1 to cut."""
         sv = statevec[1][level]
-        m = deg1.m
-        mode, param = modes[level]
+        window, count = bounds[level]
         alive = alive_universe & ~deadvec[level]
-        if mode == SEL_FIRST_UNHIT:
-            for i in range(m):
-                if not (sv >> i) & 1:
-                    return i
-            return -1  # unreachable: all-hit handled before selection
-        if mode == SEL_FULL:
-            best = -1
-            best_eff = 1 << 30
-            for i in range(m):
-                if (sv >> i) & 1:
-                    continue
-                eff = (deg1.masks[i] & alive).bit_count()
-                if eff < best_eff:
-                    best_eff = eff
-                    best = i
-                    if eff == 0:
-                        break
-            if best_eff == 0:
-                stats["selection_cuts"] += 1
-                return -1
-            return best
-        if mode == SEL_FIRST_M:
-            window = min(param, m)
-            best = -1
-            best_eff = 1 << 30
-            fallback = -1
-            for i in range(m):
-                if (sv >> i) & 1:
-                    continue
-                if fallback < 0:
-                    fallback = i
-                if i >= window:
-                    if best >= 0:
-                        break
-                    continue
-                eff = (deg1.masks[i] & alive).bit_count()
-                if eff < best_eff:
-                    best_eff = eff
-                    best = i
-                    if eff == 0:
-                        break
-            if best < 0:
-                return fallback
-            if best_eff == 0:
-                stats["selection_cuts"] += 1
-                return -1
-            return best
-        # SEL_FIRST_UNHIT_M: min effective size among first `param` unhit sets
-        seen = 0
         best = -1
         best_eff = 1 << 30
-        for i in range(m):
+        seen = 0
+        for i in range(deg1.m):
             if (sv >> i) & 1:
                 continue
+            if i >= window or seen == count:
+                return best if best >= 0 else i
             eff = (deg1.masks[i] & alive).bit_count()
             if eff < best_eff:
                 best_eff = eff
                 best = i
                 if eff == 0:
-                    break
+                    stats["selection_cuts"] += 1
+                    return -1
             seen += 1
-            if seen == param:
-                break
-        if best_eff == 0:
-            stats["selection_cuts"] += 1
-            return -1
         return best
 
     def take(cells) -> None:

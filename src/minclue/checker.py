@@ -2,17 +2,17 @@
 candidate k-clue puzzles as hitting sets, and confirm properness with the
 kernels' batch entry `confirm`.
 
-The engine hands its sink CONFIRM_BATCH candidates per call (the rest in
-one last call), already packed as bytes; the sink passes each batch
-straight to one `confirm` call.  `confirm` searches each candidate for a
-completion other than the grid: one that passes its double-check (valid,
-extends the clues, differs from the grid) makes the candidate ambiguous,
-and an exhausted search that reached only the grid makes it proper.  The
-cells where such a completion differs from the grid form an unavoidable
-set, so the native `confirm` also calls a later candidate of the same call
-ambiguous without a search when it misses one of the last 64 such sets
-and that completion holds the grid's digits at its clues; the reference
-searches every candidate.
+The engine hands its sink `hitting.EMIT_BATCH` candidates per call (the
+rest in one last call), already packed as bytes; the sink passes each
+batch straight to one `confirm` call.  `confirm` searches each candidate
+for a completion other than the grid: one that passes its double-check
+(valid, extends the clues, differs from the grid) makes the candidate
+ambiguous, and an exhausted search that reached only the grid makes it
+proper.  The cells where such a completion differs from the grid form an
+unavoidable set, so the native `confirm` also calls a later candidate of
+the same call ambiguous without a search when it misses one of the last
+64 such sets and that completion holds the grid's digits at its clues;
+the reference searches every candidate.
 Proper puzzles are kept in emission order.  A candidate whose verdict the
 double-check rejects is a safety failure: it is counted, never reported as
 proper, and re-run through `count_completions` and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ._pykernels import CONFIRM_PROPER, CONFIRM_UNSAFE
@@ -57,8 +57,6 @@ CHECKER_VERSION = "1"
 
 _DEFAULT_MAX_SET_SIZE = {16: 8, 36: 10, 81: 12}
 DEFAULT_CLIQUE_CAPS = {2: 8192, 3: 16384, 4: 32768, 5: 32768, 6: 16384}
-# candidates per engine batch, each confirmed by one kernel call
-CONFIRM_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,6 @@ class SearchConfig:
     family_cap: int = 384
     clique_degrees: Tuple[int, ...] = (2, 3, 4, 5)
     clique_caps: Dict[int, int] = field(default_factory=dict)
-    clique_starts: Dict[int, int] = field(default_factory=dict)
     engine: EngineConfig = EngineConfig()
 
     def __post_init__(self) -> None:
@@ -84,10 +81,10 @@ class SearchConfig:
                     f"clique degree {degree} has no default cap; "
                     f"give one with clique_cap.{degree}"
                 )
-        # values no grid can search with: build_cliques refuses such caps
-        # and starts, a family cap below 1 keeps no unavoidable set, and no
-        # unavoidable set has fewer than 4 cells, so a smaller max_set_size
-        # finds none and the engine would emit every k-subset of the board
+        # values no grid can search with: build_cliques refuses such caps,
+        # a family cap below 1 keeps no unavoidable set, and no unavoidable
+        # set has fewer than 4 cells, so a smaller max_set_size finds none
+        # and the engine would emit every k-subset of the board
         if self.max_set_size is not None and self.max_set_size < 4:
             raise ValueError("max_set_size must be at least 4")
         if self.family_cap < 1:
@@ -95,19 +92,11 @@ class SearchConfig:
         for degree, cap in self.clique_caps.items():
             if cap < 1:
                 raise ValueError(f"clique_cap.{degree} must be at least 1")
-        for degree, start in self.clique_starts.items():
-            if start < degree - 1:
-                raise ValueError(
-                    f"clique_start.{degree} must be at least {degree - 1}"
-                )
 
     def resolved_max_set_size(self, shape: GridShape) -> int:
         if self.max_set_size is not None:
             return self.max_set_size
         return _DEFAULT_MAX_SET_SIZE.get(shape.cell_count, 12)
-
-    def clique_start(self, k: int, degree: int) -> int:
-        return self.clique_starts.get(degree, default_clique_start(k, degree))
 
 
 def baseline_config() -> SearchConfig:
@@ -180,7 +169,7 @@ def search_grid(
             cliques = build_cliques(
                 working,
                 degree,
-                config.clique_start(k, degree),
+                default_clique_start(k, degree),
                 config.clique_caps[degree],
             )
             if len(cliques):
@@ -215,8 +204,7 @@ def search_grid(
             )
             i = verdicts.find(CONFIRM_UNSAFE, i + 1)
 
-    engine = replace(config.engine, emit_batch=CONFIRM_BATCH)
-    enumerate_hitting_sets(instance, engine, confirm_batch)
+    enumerate_hitting_sets(instance, config.engine, confirm_batch)
 
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return GridSearchReport(

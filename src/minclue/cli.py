@@ -58,15 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
-def _input_lines(path: Optional[str]):
+def _raw_lines(path: Optional[str]):
     if path is None or path == "-":
-        for line in sys.stdin:
-            if line.strip():
-                yield line.strip()
-    else:
-        for line in Path(path).read_text().splitlines():
-            if line.strip():
-                yield line.strip()
+        return sys.stdin
+    return Path(path).read_text().splitlines()
+
+
+def _input_lines(path: Optional[str]):
+    for line in _raw_lines(path):
+        if line.strip():
+            yield line.strip()
 
 
 def _shape_arg(value: Optional[str]) -> Optional[GridShape]:
@@ -224,7 +225,7 @@ def cmd_search(args) -> int:
     for line in config_header_lines(config, args.k):
         print(line)
     status = 0
-    for record in search_catalog(_input_lines(args.file), args.k, config, shape):
+    for record in search_catalog(_raw_lines(args.file), args.k, config, shape):
         print(format_report(record))
         if isinstance(record, GridSearchError):
             status = max(status, 2)
@@ -250,11 +251,13 @@ def cmd_farm(args) -> int:
         f" recorded {summary.recorded_now} pending {summary.pending_after}"
         f" elapsed {summary.elapsed_s:.1f}s"
     )
-    status = 3 if summary.safety_failures else 0
+    status = 3 if summary.safety_failures else 2 if summary.errors else 0
     if args.merge:
         for report in merge_outputs(args.out):
             print(format_report(report))
-            if getattr(report, "safety_failures", 0):
+            if isinstance(report, GridSearchError):
+                status = max(status, 2)
+            elif report.safety_failures:
                 status = 3
     return status
 

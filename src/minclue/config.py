@@ -47,7 +47,6 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
     consolidation = dict(engine.consolidation)
     clique_degrees = config.clique_degrees
     clique_caps = dict(config.clique_caps)
-    clique_starts = dict(config.clique_starts)
     selection = engine.selection
 
     for key, value in pairs.items():
@@ -65,8 +64,6 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
             clique_degrees = tuple(int(tok) for tok in value.split(",") if tok)
         elif key.startswith("clique_cap."):
             clique_caps[int(key.split(".", 1)[1])] = int(value)
-        elif key.startswith("clique_start."):
-            clique_starts[int(key.split(".", 1)[1])] = int(value)
         elif key.startswith("consolidate."):
             degree = int(key.split(".", 1)[1])
             if value == "off":
@@ -90,7 +87,6 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
         engine=engine,
         clique_degrees=clique_degrees,
         clique_caps=clique_caps,
-        clique_starts=clique_starts,
     )
     return config, k
 
@@ -111,8 +107,6 @@ def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
     ]
     for d in sorted(config.clique_caps):
         pairs.append((f"clique_cap.{d}", config.clique_caps[d]))
-    for d in sorted(config.clique_starts):
-        pairs.append((f"clique_start.{d}", config.clique_starts[d]))
     # a default degree missing from the table is written as off, so that
     # parsing does not bring its default back
     for d in sorted(set(DEFAULT_CONSOLIDATION) | set(eng.consolidation)):

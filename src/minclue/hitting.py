@@ -6,14 +6,21 @@ families only prune: a degree-d set still unhit when fewer than d draws
 remain kills its branch.  The dead-cell rule (cells of the drawn-from set
 below the chosen cell are excluded from the subtree) makes every hitting
 set come out exactly once.  The engine hands its sink the hitting sets in
-batches of whole sets, as bytes; `per_candidate` adapts a callable that
-takes one set at a time.
+batches of EMIT_BATCH whole sets, as bytes; `per_candidate` adapts a
+callable that takes one set at a time.
+
+At each level the engine draws from one rule with two bounds, a window
+and a count: the unhit degree-1 set of fewest live cells among the unhit
+slots below the window, looking at no more than count of them, or the
+first unhit set when it looks at none.  A set with no live cell cuts the
+branch.
 
 Each of the speed-ups over plain backtracking is turned off by its own
 setting: the degree checks by an instance with no family above degree 1,
 consolidation by `EngineConfig(consolidation={})`, and effective-size
-selection by `SelectionSchedule(0, 0, 0)`, which draws from the first
-unhit set at every level.  `checker.baseline_config` sets all three.
+selection by `SelectionSchedule(0, 0, 0)`, whose bounds look at no set,
+so every level draws from the first unhit one.  `checker.baseline_config`
+sets all three.
 """
 
 from __future__ import annotations
@@ -25,15 +32,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .backend import kernels
 from .errors import BudgetExceededError
-from ._pykernels import (
-    INT_MAX,
-    SEL_FIRST_M,
-    SEL_FIRST_UNHIT,
-    SEL_FIRST_UNHIT_M,
-    SEL_FULL,
-)
+from ._pykernels import INT_MAX
 
 MAX_UNIVERSE = 128
+# hitting sets per sink call
+EMIT_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,13 @@ class HittingInstance:
 
 @dataclass(frozen=True)
 class SelectionSchedule:
-    """Which degree-1 set to draw from, by clue position t (1-based):
-    minimum effective size over all unhit sets through t = full_through,
-    then over the first window_width sets, then over the first short_width
-    unhit sets, then simply the first unhit set.  A width of 0 skips its
-    scan and draws from the first unhit set, so SelectionSchedule(0, 0, 0)
-    turns effective sizes off.
+    """Which degree-1 set to draw from, by clue position t (1-based), as
+    the (window, count) bounds of each level: minimum effective size over
+    all unhit sets through t = full_through, then over the unhit sets
+    among the first window_width slots, then over the first short_width
+    unhit sets, then simply the first unhit set (a window of 0).  A width
+    of 0 looks at no set, which draws from the first unhit one, so
+    SelectionSchedule(0, 0, 0) turns effective sizes off.
 
     full_through = None derives the default k - 6 at resolve time, placing
     the two bounded scans at k - 5 and k - 4.
@@ -120,15 +124,14 @@ DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
 @dataclass(frozen=True)
 class EngineConfig:
     """Consolidation (trigger level, cap) per degree, {} for none, and the
-    selection schedule.  The higher-degree checks need no setting: they
-    follow from the instance's families above degree 1."""
+    selection schedule: the two keys of the configuration file that the
+    engine reads.  The higher-degree checks need no setting: they follow
+    from the instance's families above degree 1."""
 
     consolidation: Mapping[int, Tuple[int, int]] = field(
         default_factory=lambda: dict(DEFAULT_CONSOLIDATION)
     )
     selection: SelectionSchedule = SelectionSchedule()
-    # hitting sets per sink call; search_grid sets it to its confirm batch
-    emit_batch: int = 1
 
     def __post_init__(self) -> None:
         for trigger, cap in self.consolidation.values():
@@ -145,7 +148,9 @@ def check_level(k: int, degree: int) -> int:
 
 
 def resolve_plan(instance: HittingInstance, config: EngineConfig):
-    """Flatten instance + config into the positional kernel arguments."""
+    """Flatten instance + config into the positional kernel arguments;
+    the last is the (window, count) selection bounds of each level below
+    k, with INT_MAX for no bound."""
     k = instance.k
     degrees = sorted(instance.families)
     masks_by_degree = [list(instance.families[d]) for d in degrees]
@@ -169,17 +174,16 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
     full_through = selection.full_through
     if full_through is None:
         full_through = k - 6
-    modes: List[Tuple[int, int]] = []
-    for level in range(k):
-        t = level + 1
+    bounds: List[Tuple[int, int]] = []
+    for t in range(1, k + 1):
         if t <= full_through:
-            modes.append((SEL_FULL, 0))
-        elif t == full_through + 1 and selection.window_width:
-            modes.append((SEL_FIRST_M, selection.window_width))
-        elif t == full_through + 2 and selection.short_width:
-            modes.append((SEL_FIRST_UNHIT_M, selection.short_width))
+            bounds.append((INT_MAX, INT_MAX))
+        elif t == full_through + 1:
+            bounds.append((selection.window_width, INT_MAX))
+        elif t == full_through + 2:
+            bounds.append((INT_MAX, selection.short_width))
         else:
-            modes.append((SEL_FIRST_UNHIT, 0))
+            bounds.append((0, INT_MAX))
 
     return (
         instance.universe_size,
@@ -188,7 +192,7 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
         masks_by_degree,
         check_levels,
         consolidations,
-        modes,
+        bounds,
     )
 
 
@@ -201,14 +205,14 @@ def enumerate_hitting_sets(
     """Feed every k-subset hitting all degree-1 sets to `sink`, each
     exactly once, in a deterministic order; returns the number emitted.
 
-    Each sink call receives one bytes object holding `config.emit_batch`
-    whole sets, k ascending cell bytes each; the sets left at the end go
-    in one last, shorter call.  The sink must not re-enter the engine.
+    Each sink call receives one bytes object holding EMIT_BATCH whole
+    sets, k ascending cell bytes each; the sets left at the end go in one
+    last, shorter call.  The sink must not re-enter the engine.
     """
     if sink is None:
         sink = lambda batch: None
     run_stats = kernels.run_hitting(
-        *resolve_plan(instance, config), sink, config.emit_batch
+        *resolve_plan(instance, config), sink, EMIT_BATCH
     )
     if stats is not None:
         stats.update(run_stats)

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from .checker import (
+    GridSearchError,
     GridSearchReport,
     ReportOrError,
     SearchConfig,
@@ -103,6 +104,7 @@ class FarmSummary:
     pending_after: int
     elapsed_s: float
     safety_failures: int = 0  # summed over the reports recorded by this run
+    errors: int = 0  # error records (malformed lines) recorded by this run
 
 
 def plan_batches(n_lines: int, batch_size: int) -> List[WorkBatch]:
@@ -125,18 +127,24 @@ def _worker_cap(requested: int) -> int:
     return requested
 
 
-def _run_batch(args) -> Tuple[List[str], int]:
+def _run_batch(args) -> Tuple[List[str], int, int]:
     """Worker entry: search one batch of grid lines; returns the frame
-    payload (one formatted report block per grid) and the batch's summed
-    safety failures.  `args` is (batch id, lines, k, config); the id is
-    unused here but names the batch to any wrapper of this entry."""
-    _batch_id, lines, k, config = args
+    payload (one formatted report block per grid), the batch's summed
+    safety failures and its number of error records, each of which names
+    its line by its index in the catalogue.  `args` is (batch id, index of
+    the batch's first line, lines, k, config); the id is unused here but
+    names the batch to any wrapper of this entry."""
+    _batch_id, start, lines, k, config = args
     blocks: List[str] = []
-    failures = 0
+    failures = errors = 0
     for record in search_catalog(lines, k, config):
+        if isinstance(record, GridSearchError):
+            record = replace(record, line_no=start + record.line_no)
+            errors += 1
+        else:
+            failures += record.safety_failures
         blocks.append(format_report(record))
-        failures += getattr(record, "safety_failures", 0)
-    return blocks, failures
+    return blocks, failures, errors
 
 
 def run_farm(
@@ -195,7 +203,7 @@ def run_farm(
     done_before = len(cp.done)
     pending = [b for b in batches if b.batch_id not in cp.done]
     recorded = 0
-    safety_failures = 0
+    safety_failures = errors = 0
     workers = _worker_cap(workers)
 
     def record(batch: WorkBatch, blocks: List[str]) -> None:
@@ -219,7 +227,10 @@ def run_farm(
             queue = list(pending)
 
             def submit(batch: WorkBatch) -> None:
-                payload = (batch.batch_id, lines[batch.start : batch.end], k, config)
+                payload = (
+                    batch.batch_id, batch.start, lines[batch.start : batch.end],
+                    k, config,
+                )
                 futures[pool.submit(_run_batch, payload)] = batch
 
             # prime the pool; workers pull the next batch as they finish
@@ -233,7 +244,7 @@ def run_farm(
                     for future in done_set:
                         batch = futures.pop(future)
                         try:
-                            blocks, failures = future.result()
+                            blocks, failures, batch_errors = future.result()
                         except BrokenProcessPool:
                             raise
                         except Exception:
@@ -248,6 +259,7 @@ def run_farm(
                             continue
                         record(batch, blocks)
                         safety_failures += failures
+                        errors += batch_errors
                         if max_batches is not None and recorded >= max_batches:
                             stopped = True
                             break
@@ -272,6 +284,7 @@ def run_farm(
         pending_after=len(batches) - len(cp.done),
         elapsed_s=time.monotonic() - started,
         safety_failures=safety_failures,
+        errors=errors,
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import clue_cells, random_solution_grid
 from test_unavoidable import oracle_cliques
-from minclue import _pykernels, checker, unavoidable
+from minclue import _pykernels, checker, hitting, unavoidable
 from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
 from minclue.backend import backend_name
 from minclue.grid import SHAPE_4X4, SHAPE_6X6, SHAPE_9X9, Grid, GridShape
@@ -502,7 +502,7 @@ class TestConfirm:
         with pytest.raises(Stop):
             checker.search_grid(grid, k)
         batch = batches[0]
-        assert len(batch) == checker.CONFIRM_BATCH * k
+        assert len(batch) == hitting.EMIT_BATCH * k
         verdicts = backends["native"].confirm(*confirm_args(grid, k, batch))
         assert verdicts == _pykernels.confirm(*confirm_args(grid, k, batch))
 

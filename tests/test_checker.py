@@ -245,7 +245,7 @@ class TestSafetyPath:
         each engine batch goes to `confirm` as it is."""
         from types import SimpleNamespace
 
-        from minclue import checker
+        from minclue import checker, hitting
 
         whole = search_grid(reps_4x4[1], 4)
         real = checker.kernels.confirm
@@ -255,7 +255,7 @@ class TestSafetyPath:
             sizes.append(len(cells))
             return real(box_rows, box_cols, digits, k, cells)
 
-        monkeypatch.setattr(checker, "CONFIRM_BATCH", 1)
+        monkeypatch.setattr(hitting, "EMIT_BATCH", 1)
         monkeypatch.setattr(checker, "kernels", SimpleNamespace(confirm=confirm))
         split = search_grid(reps_4x4[1], 4)
         assert replace(split, elapsed_ms=0) == replace(whole, elapsed_ms=0)

@@ -269,7 +269,10 @@ class TestSearchCli:
         config = tmp_path / "run.cfg"
         _, out, _ = run_cli(["search", str(grids), "--k", "4"])
         header = [ln for ln in out.splitlines() if ln.startswith("#")]
-        for key in ("dedup", "degree_pruning", "consolidation", "effective_size"):
+        for key in (
+            "dedup", "degree_pruning", "consolidation", "effective_size",
+            "clique_start.3",
+        ):
             # where older headers wrote it
             old_header = header[:5] + [f"# {key}=1"] + header[5:]
             for text in (f"family_cap=2\n{key}=1\n", "\n".join(old_header) + "\n"):
@@ -368,6 +371,44 @@ class TestFarmCli:
         lines = out.strip().splitlines()
         assert lines[0].startswith("# batches 2 done_before 0 recorded 2")
         assert len([ln for ln in lines[1:] if not ln.startswith("\t")]) == 2
+
+    def test_error_records_name_the_catalogue_line(self, tmp_path):
+        """`search` and `farm` give a malformed line its index in the file,
+        blank lines counted, and both exit 2 for it: `farm` whether it
+        records the error or merges it."""
+        catalogue = tmp_path / "cat.txt"
+        catalogue.write_text("1234341221434321\n\n123\n2143341212344321\n")
+        code, out, _ = run_cli(["search", str(catalogue), "--k", "4"])
+        assert code == 2
+        assert [ln for ln in out.splitlines() if ln.startswith("!")] == [
+            "!error\t2\tcannot infer shape from line of length 3"
+        ]
+        for merge in (("--merge",), ()):
+            tag = "merged" if merge else "recorded"
+            code, out, _ = run_cli(
+                [
+                    "farm", str(catalogue), "--k", "4", "--batch", "2",
+                    "--checkpoint", str(tmp_path / f"cp-{tag}.txt"),
+                    "--out", str(tmp_path / f"out-{tag}.txt"), *merge,
+                ]
+            )
+            assert code == 2, tag
+            errors = [
+                ln for ln in (tmp_path / f"out-{tag}.txt").read_text().splitlines()
+                if ln.startswith("!")
+            ]
+            assert errors == ["!error\t2\tcannot infer shape from line of length 3"]
+            if merge:
+                assert "!error\t2\tcannot infer shape from line of length 3" in out.splitlines()
+        # resumed with nothing left to run, the merge alone still exits 2
+        code, _, _ = run_cli(
+            [
+                "farm", str(catalogue), "--k", "4", "--batch", "2",
+                "--checkpoint", str(tmp_path / "cp-recorded.txt"),
+                "--out", str(tmp_path / "out-recorded.txt"), "--merge",
+            ]
+        )
+        assert code == 2
 
     def farm_argv(self, tmp_path, *extra):
         catalogue = tmp_path / "cat.txt"

@@ -41,14 +41,11 @@ def search_configs(draw):
     for degree in clique_degrees:
         if degree not in DEFAULT_CLIQUE_CAPS:  # such a degree needs its own cap
             clique_caps.setdefault(degree, draw(positive))
-    # a degree-d clique needs d - 1 sets below its start
-    starts = {d: draw(st.integers(d - 1, 30)) for d in draw(st.sets(st.integers(2, 8)))}
     return SearchConfig(
         max_set_size=draw(st.none() | st.integers(4, 20)),
         family_cap=draw(positive),
         clique_degrees=clique_degrees,
         clique_caps=clique_caps,
-        clique_starts=starts,
         engine=engine,
     )
 
@@ -63,11 +60,6 @@ class TestRoundTrip:
     @given(config=search_configs(), k=st.integers(1, 81))
     def test_header_parses_back_to_the_same_config(self, config, k):
         assert round_trip(config, k) == (config, k)
-
-    def test_clique_starts_are_echoed(self):
-        config = SearchConfig(clique_starts={3: 9})
-        assert "# clique_start.3=9" in config_header_lines(config, 16)
-        assert round_trip(config, 16)[0].clique_starts == {3: 9}
 
     def test_dropped_default_consolidation_stays_dropped(self):
         config = SearchConfig(engine=EngineConfig(consolidation={1: (7, 128)}))
@@ -93,7 +85,7 @@ class TestRoundTrip:
         [
             ({"family_cap": "0"}, "family_cap"),
             ({"clique_cap.2": "0"}, "clique_cap.2"),
-            ({"clique_start.3": "1"}, "clique_start.3 must be at least 2"),
+            ({"selection": "auto:64:-1"}, "widths"),
             ({"consolidate.1": "0:64"}, "triggers and caps"),
             ({"consolidate.2": "3:0"}, "triggers and caps"),
             ({"max_set_size": "3"}, "max_set_size must be at least 4"),
@@ -137,5 +129,15 @@ class TestDigest:
     def test_any_key_changes_the_digest(self):
         base = config_digest(SearchConfig())
         assert config_digest(SearchConfig(family_cap=100)) != base
-        assert config_digest(SearchConfig(clique_starts={4: 3})) != base
+        assert config_digest(SearchConfig(clique_caps={4: 3})) != base
         assert config_digest(SearchConfig(engine=EngineConfig(consolidation={}))) != base
+
+    def test_pinned_digests(self):
+        """The digests farm checkpoints store: a change to them stops every
+        older checkpoint from resuming."""
+        assert config_digest(SearchConfig()) == (
+            "1eec9b3c0ab8c31ba34ed75d5da6840c260b26b2ba4f47e9af9e45e009de7a1e"
+        )
+        assert config_digest(baseline_config()) == (
+            "28c68725c31a5e8f717744c56a43772635066016da0bf0336063b9904af64b55"
+        )

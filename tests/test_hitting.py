@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import without_speed_ups
 from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
-from minclue.checker import CONFIRM_BATCH
 from minclue import hitting
+from minclue._pykernels import INT_MAX
 from minclue.errors import BudgetExceededError
 from minclue.hitting import (
     EngineConfig,
@@ -325,14 +325,16 @@ class TestPinnedPlans:
          3: [{0, 1, 2, 3, 4, 9, 10}]},
     )
     DEGREE_ONE = [24, 1536, 2049, 7, 480]  # sorted by size
-    # modes are (SEL_* code, width): 0 full, 1 window, 2 short, 3 first unhit
+    # selection bounds per level are (window, count), INT_MAX for none
+    FULL, FIRST_UNHIT = (INT_MAX, INT_MAX), (0, INT_MAX)
 
     def test_default_plan(self):
         assert hitting.resolve_plan(self.INSTANCE, EngineConfig()) == (
             20, 8, [1, 2, 3], [self.DEGREE_ONE, [1560, 2529], [1567]],
             {2: 7, 3: 6},
             {1: (7, 128), 2: (5, 1536), 3: (5, 1536)},
-            [(0, 0), (0, 0), (1, 64), (2, 5), (3, 0), (3, 0), (3, 0), (3, 0)],
+            [self.FULL, self.FULL, (64, INT_MAX), (INT_MAX, 5)]
+            + [self.FIRST_UNHIT] * 4,
         )
 
     def test_baseline_plan(self):
@@ -344,18 +346,26 @@ class TestPinnedPlans:
         assert config.clique_degrees == ()
         instance = HittingInstance(20, 8, {1: self.INSTANCE.degree_one()})
         assert hitting.resolve_plan(instance, config.engine) == (
-            20, 8, [1], [self.DEGREE_ONE], {}, {}, [(3, 0)] * 8,
+            20, 8, [1], [self.DEGREE_ONE], {}, {},
+            [(0, INT_MAX), (INT_MAX, 0)] + [self.FIRST_UNHIT] * 6,
         )
 
-    def test_zero_widths_draw_from_the_first_unhit_set(self):
+    def test_zero_widths_draw_from_the_first_unhit_set(self, backends):
+        """A width of 0 is a bound that looks at no set, so its level
+        draws from the first unhit set."""
         for window, short in ((0, 5), (64, 0)):
-            plan = hitting.resolve_plan(
-                self.INSTANCE,
-                EngineConfig(selection=SelectionSchedule(2, window, short)),
-            )
-            modes = plan[6]
-            assert modes[2] == ((1, 64) if window else (3, 0))
-            assert modes[3] == ((2, 5) if short else (3, 0))
+            config = EngineConfig(selection=SelectionSchedule(2, window, short))
+            plan = hitting.resolve_plan(self.INSTANCE, config)
+            assert plan[6][2:4] == [(window, INT_MAX), (INT_MAX, short)]
+            first_unhit = list(plan[6])
+            first_unhit[2 if window == 0 else 3] = self.FIRST_UNHIT
+            for kern in backends.values():
+                runs = []
+                for bounds in (plan[6], first_unhit):
+                    calls = []
+                    stats = kern.run_hitting(*plan[:6], bounds, calls.append, 64)
+                    runs.append((calls, stats))
+                assert runs[0] == runs[1]
 
     def test_negative_widths_refused(self):
         for widths in ((-1, 5), (64, -1)):
@@ -429,7 +439,7 @@ class TestBatchEmission:
         plan = hitting.resolve_plan(instance, EngineConfig())
         joined = set()
         for name, kern in backends.items():
-            for batch in (1, 3, CONFIRM_BATCH):
+            for batch in (1, 3, hitting.EMIT_BATCH):
                 calls = []
                 stats = kern.run_hitting(*plan, calls.append, batch)
                 data = b"".join(calls)
@@ -444,18 +454,14 @@ class TestBatchEmission:
         assert all(list(c) == sorted(set(c)) for c in got)
         assert sorted(got) == brute_force_hitting_sets(instance)
 
-    def test_emit_batch_sets_the_call_size(self, backends):
+    def test_emit_batch_sets_the_call_size(self, backends, monkeypatch):
         instance = make_instance(81, 2, {1: WORKED_FAMILY})
-        saved = hitting.kernels
-        try:
-            for name, kern in backends.items():
-                hitting.kernels = kern
-                calls = []
-                config = EngineConfig(emit_batch=3)
-                assert enumerate_hitting_sets(instance, config, calls.append) == 7
-                assert [len(c) for c in calls] == [6, 6, 2], name
-        finally:
-            hitting.kernels = saved
+        monkeypatch.setattr(hitting, "EMIT_BATCH", 3)
+        for name, kern in backends.items():
+            monkeypatch.setattr(hitting, "kernels", kern)
+            calls = []
+            assert enumerate_hitting_sets(instance, EngineConfig(), calls.append) == 7
+            assert [len(c) for c in calls] == [6, 6, 2], name
 
     def test_batch_below_one_raises(self, backends):
         plan = hitting.resolve_plan(make_instance(8, 2, {1: [{0, 1}]}), EngineConfig())
@@ -555,13 +561,14 @@ class TestConsolidationScatter:
 class TestSkippedRebuilds:
     """A consolidation that keeps every unhit set keeps them in slot order
     and only renumbers them.  The one reader of slot numbers is a degree-1
-    SEL_FIRST_M window at or after the trigger; without one, the run equals
-    the run without the consolidation except for the consolidation count.
-    The reference always rebuilds, so each case checks the native skip."""
+    selection window inside the family at or after the trigger; without
+    one, the run equals the run without the consolidation except for the
+    consolidation count.  The reference always rebuilds, so each case
+    checks the native skip."""
 
     # sorted by size: A = {0, 1}, B = {1, 4, 5}, C = {2, 3, 6}, D = {0, 7, 8}
     SETS = [{0, 1}, {1, 4, 5}, {2, 3, 6}, {0, 7, 8}]
-    # SEL_FULL at level 0, a width-2 SEL_FIRST_M window at level 1
+    # a full scan at level 0, a window of 2 slots at level 1
     WINDOW = SelectionSchedule(full_through=1, window_width=2)
 
     def runs(self, backends, instance, consolidation, selection=SelectionSchedule()):

@@ -164,7 +164,7 @@ class TestRunFarm:
 
     def test_output_starts_with_the_config_header(self, catalogue_50, tmp_path):
         cp_path, out_path = farm_paths(tmp_path, "header")
-        config = SearchConfig(family_cap=5, clique_starts={2: 3})
+        config = SearchConfig(family_cap=5, clique_degrees=(2, 3))
         run_farm(catalogue_50, 4, workers=1, batch_size=30, config=config,
                  checkpoint_path=cp_path, output_path=out_path, max_batches=1)
         run_farm(catalogue_50, 4, workers=1, batch_size=30, config=config,

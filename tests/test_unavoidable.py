@@ -293,7 +293,7 @@ class TestNineByNine:
         cliques = build_cliques(
             pinned_working_family,
             degree,
-            config.clique_start(16, degree),
+            default_clique_start(16, degree),
             config.clique_caps[degree],
         )
         text = ",".join(str(m) for m in cliques.masks)
