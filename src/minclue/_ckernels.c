@@ -873,13 +873,8 @@ done:
 /* One degree's family and its rows.  Every node at the trigger level
  * consolidates the degree to the sets still unhit there, at most `cap` of
  * them, in slot order; `consolidations` counts those nodes, one per
- * consolidated degree.  When cap >= m_orig every unhit set is kept in the
- * same order and only slot numbers change, and the sole reader of slot
- * numbers is a degree-1 selection window that ends inside the family.  So
- * `rebuilds` is 0 when cap >= m_orig and, for degree 1, no level from the
- * trigger on has 0 < window < m_orig: the consolidation is counted but
- * builds nothing, the subtree reads the original table, and the *_cons
- * arrays are never allocated. */
+ * consolidated degree.  The *_cons arrays exist only for a degree with a
+ * trigger. */
 typedef struct {
     int degree;
     int m_orig;        /* family size before consolidation */
@@ -887,7 +882,6 @@ typedef struct {
     u64 *table_orig;   /* hit rows: [universe][words_orig] */
     u64 *masks_orig;   /* cell masks: [m_orig][2] */
     int trigger;       /* consolidation level, -1 when none */
-    int rebuilds;      /* 1 when consolidating can change what is read */
     int cap;           /* retained cap, clamped to m_orig */
     int words_cap;     /* layout stride of the consolidated table */
     int m_cons;        /* family size after the current consolidation */
@@ -911,7 +905,6 @@ typedef struct {
     u64 dead_lo[MAX_K + 1];
     u64 dead_hi[MAX_K + 1];
     int hitset[MAX_K];
-    const int *windows;
     const int *counts;
     mc_emit_fn emit;
     u8 *batch;         /* emitted candidates not yet passed to emit */
@@ -926,13 +919,13 @@ typedef struct {
 /* epoch seen by the entry checks of a node at `level` */
 static inline int consolidated_pre(const DegState *st, int level)
 {
-    return st->rebuilds && level > st->trigger;
+    return st->trigger >= 0 && level > st->trigger;
 }
 
 /* epoch seen after this node ran its consolidations */
 static inline int consolidated_post(const DegState *st, int level)
 {
-    return st->rebuilds && level >= st->trigger;
+    return st->trigger >= 0 && level >= st->trigger;
 }
 
 static inline int row_all_ones(const u64 *row, int m)
@@ -998,8 +991,7 @@ static inline void scatter_cells(u64 *col, int stride, u64 cells, int base, u64 
  * word at a time up to m_orig.  Each kept slot's cell mask is scattered
  * into its bit of the new table, so the cost follows the kept sets' sizes,
  * not the universe.  Dead cells are left out: they cannot be chosen
- * below this node, so their rows are never read.  Runs only when the
- * degree `rebuilds` (see DegState). */
+ * below this node, so their rows are never read. */
 static void consolidate_degree(Engine *eng, DegState *st, int level)
 {
     u64 *sv = st->statevec + (size_t)level * st->words_orig;
@@ -1032,14 +1024,12 @@ static void consolidate_degree(Engine *eng, DegState *st, int level)
 /* Index of the degree-1 set to draw from, or -1 to cut the branch.  The
  * unhit slots are the set bits of the state row's complement, taken a word
  * at a time in slot order.  The scan takes min effective size (live cells)
- * over the unhit slots below the level's window, looking at no more than
- * its count of them; ties go to the lower slot, and a set with no live
- * cell ends the scan and cuts the branch.  When it has looked at none, it
- * takes the first unhit slot.  Slots past m in the last word read as
- * unhit, so the scan stops at the first unhit slot at or past `end` (m, or
- * the window) or past the count.  A node selects only while some set is
- * unhit, so when no slot below `end` is, the first one past it is a set of
- * the family. */
+ * over the first unhit sets, as many as the level's count; ties go to the
+ * lower slot, and a set with no live cell ends the scan and cuts the
+ * branch.  With a count of 0 it takes the first unhit slot.  Slots past m
+ * in the last word read as unhit, so the scan also stops at the first
+ * unhit slot at or past m; a node selects only while some set is unhit,
+ * so by then it has looked at one. */
 static int select_slot(Engine *eng, int level)
 {
     DegState *st = eng->deg1;
@@ -1048,7 +1038,6 @@ static int select_slot(Engine *eng, int level)
     int m = cons ? st->m_cons : st->m_orig;
     const u64 *masks = cons ? st->masks_cons : st->masks_orig;
     int count = eng->counts[level];
-    int end = eng->windows[level] < m ? eng->windows[level] : m;
     u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
     int best = -1, best_eff = 1 << 30, seen = 0;
     for (int w = 0; (w << 6) < m; ++w) {
@@ -1056,7 +1045,7 @@ static int select_slot(Engine *eng, int level)
         while (unhit) {
             int i = (w << 6) + low_index64(unhit), eff;
             unhit &= unhit - 1;
-            if (i >= end || seen == count) /* best_eff > 0 here */
+            if (i >= m || seen == count) /* best_eff > 0 here */
                 return best >= 0 ? best : i;
             eff = popcount64(masks[i * 2] & alive_lo)
                   + popcount64(masks[i * 2 + 1] & alive_hi);
@@ -1164,8 +1153,7 @@ static int recurse(Engine *eng, int level)
         return MC_OK;
     for (int di = 0; di < eng->ndeg; ++di) {
         if (eng->deg[di].trigger == level) {
-            if (eng->deg[di].rebuilds)
-                consolidate_degree(eng, &eng->deg[di], level);
+            consolidate_degree(eng, &eng->deg[di], level);
             eng->consolidations += 1;
         }
     }
@@ -1256,11 +1244,7 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
             if (mask_bit(lo, hi, c))
                 st->table_orig[(size_t)c * words + (i >> 6)] |= (u64)1 << (i & 63);
     }
-    st->rebuilds = trigger >= 0 && cap < m;
-    if (trigger >= 0 && degree == 1)
-        for (int level = trigger; level < eng->k; ++level)
-            st->rebuilds |= eng->windows[level] > 0 && eng->windows[level] < m;
-    if (st->rebuilds) {
+    if (trigger >= 0) {
         st->cap = m == 0 ? 1 : (cap < m ? cap : m);
         if (st->cap < 1)
             st->cap = 1;
@@ -1278,10 +1262,10 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
  * sizes[di] masks of 16 little-endian bytes each (cells 0..63, then
  * 64..127), concatenated over all degrees in `masks`; check_levels[di] or
- * -1; triggers[di] or -1 with caps[di].  Per level below k: the selection
- * bounds windows and counts (see select_slot).  Candidates go to emit in
- * batches, k ascending cell bytes each: `batch` candidates per call, the
- * rest in one last call (none when nothing is left).  On return stats
+ * -1; triggers[di] or -1 with caps[di].  Per level below k: counts, the
+ * selection count (see select_slot).  Candidates go to emit in batches, k
+ * ascending cell bytes each: `batch` candidates per call, the rest in one
+ * last call (none when nothing is left).  On return stats
  * holds nodes, emitted, selection_cuts, consolidations and then the cut
  * count per degree; cut_levels holds k+1 flags per degree.  Returns MC_OK,
  * MC_ABORTED when emit asked to stop, MC_NO_MEMORY, or MC_BAD_ARGUMENT for
@@ -1290,8 +1274,8 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
                    const int *sizes, const u8 *masks,
                    const int *check_levels, const int *triggers,
-                   const int *caps, const int *windows,
-                   const int *counts, mc_emit_fn emit, int batch,
+                   const int *caps, const int *counts,
+                   mc_emit_fn emit, int batch,
                    long long *stats, u8 *cut_levels)
 {
     Engine *eng;
@@ -1314,7 +1298,6 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     eng->universe = universe;
     eng->k = k;
     eng->ndeg = ndeg;
-    eng->windows = windows;
     eng->counts = counts;
     eng->emit = emit;
     memset(cut_levels, 0, (size_t)ndeg * (k + 1));

@@ -53,7 +53,7 @@ from .unavoidable import (
 
 logger = logging.getLogger(__name__)
 
-CHECKER_VERSION = "1"
+CHECKER_VERSION = "2"
 
 _DEFAULT_MAX_SET_SIZE = {16: 8, 36: 10, 81: 12}
 DEFAULT_CLIQUE_CAPS = {2: 8192, 3: 16384, 4: 32768, 5: 32768, 6: 16384}

@@ -72,9 +72,9 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
                 trigger, cap = value.split(":")
                 consolidation[degree] = (int(trigger), int(cap))
         elif key == "selection":
-            full, window, short = value.split(":")
+            full, wide, short = value.split(":")
             selection = SelectionSchedule(
-                None if full == "auto" else int(full), int(window), int(short)
+                None if full == "auto" else int(full), int(wide), int(short)
             )
         else:
             raise ValueError(f"unknown configuration key {key!r}")
@@ -120,7 +120,7 @@ def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
         (
             "selection",
             f"{'auto' if sel.full_through is None else sel.full_through}"
-            f":{sel.window_width}:{sel.short_width}",
+            f":{sel.wide_count}:{sel.short_count}",
         )
     )
     return pairs

@@ -219,14 +219,6 @@ class CellSet:
     def complement(self) -> "CellSet":
         return CellSet(self.shape, self.shape.universe_mask & ~self.mask)
 
-    def issubset(self, other: "CellSet") -> bool:
-        self._check_same_shape(other)
-        return self.mask & ~other.mask == 0
-
-    def isdisjoint(self, other: "CellSet") -> bool:
-        self._check_same_shape(other)
-        return self.mask & other.mask == 0
-
     def _check_same_shape(self, other: "CellSet") -> None:
         if self.shape != other.shape:
             raise ValueError("cell sets have different shapes")

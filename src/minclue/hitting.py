@@ -9,16 +9,15 @@ set come out exactly once.  The engine hands its sink the hitting sets in
 batches of EMIT_BATCH whole sets, as bytes; `per_candidate` adapts a
 callable that takes one set at a time.
 
-At each level the engine draws from one rule with two bounds, a window
-and a count: the unhit degree-1 set of fewest live cells among the unhit
-slots below the window, looking at no more than count of them, or the
-first unhit set when it looks at none.  A set with no live cell cuts the
-branch.
+At each level the engine draws from one rule with one bound, a count:
+the unhit degree-1 set of fewest live cells among the first count unhit
+sets, or the first unhit set when the count is 0.  A set with no live
+cell cuts the branch.
 
 Each of the speed-ups over plain backtracking is turned off by its own
 setting: the degree checks by an instance with no family above degree 1,
 consolidation by `EngineConfig(consolidation={})`, and effective-size
-selection by `SelectionSchedule(0, 0, 0)`, whose bounds look at no set,
+selection by `SelectionSchedule(0, 0, 0)`, whose counts look at no set,
 so every level draws from the first unhit one.  `checker.baseline_config`
 sets all three.
 """
@@ -91,24 +90,24 @@ class HittingInstance:
 @dataclass(frozen=True)
 class SelectionSchedule:
     """Which degree-1 set to draw from, by clue position t (1-based), as
-    the (window, count) bounds of each level: minimum effective size over
-    all unhit sets through t = full_through, then over the unhit sets
-    among the first window_width slots, then over the first short_width
-    unhit sets, then simply the first unhit set (a window of 0).  A width
-    of 0 looks at no set, which draws from the first unhit one, so
-    SelectionSchedule(0, 0, 0) turns effective sizes off.
+    the count of unhit sets each level looks at: minimum effective size
+    over all unhit sets through t = full_through, then over the first
+    wide_count unhit sets, then over the first short_count, then simply
+    the first unhit set (a count of 0).  A count of 0 looks at no set,
+    which draws from the first unhit one, so SelectionSchedule(0, 0, 0)
+    turns effective sizes off.
 
     full_through = None derives the default k - 6 at resolve time, placing
     the two bounded scans at k - 5 and k - 4.
     """
 
     full_through: Optional[int] = None
-    window_width: int = 64
-    short_width: int = 5
+    wide_count: int = 64
+    short_count: int = 5
 
     def __post_init__(self) -> None:
-        if self.window_width < 0 or self.short_width < 0:
-            raise ValueError("selection widths must be >= 0")
+        if not (0 <= self.wide_count <= INT_MAX and 0 <= self.short_count <= INT_MAX):
+            raise ValueError(f"selection counts must be in 0..{INT_MAX}")
 
 
 DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
@@ -149,8 +148,10 @@ def check_level(k: int, degree: int) -> int:
 
 def resolve_plan(instance: HittingInstance, config: EngineConfig):
     """Flatten instance + config into the positional kernel arguments;
-    the last is the (window, count) selection bounds of each level below
-    k, with INT_MAX for no bound."""
+    the last is the selection count of each level below k, with INT_MAX
+    for a full scan.  A consolidation whose cap keeps the whole family
+    is left out: it would only renumber the sets, and nothing reads their
+    numbers."""
     k = instance.k
     degrees = sorted(instance.families)
     masks_by_degree = [list(instance.families[d]) for d in degrees]
@@ -162,10 +163,8 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
 
     consolidations: Dict[int, Tuple[int, int]] = {}
     for d, (trigger, cap) in config.consolidation.items():
-        if trigger >= k:
-            continue
-        if d not in instance.families or not instance.families[d]:
-            continue
+        if trigger >= k or cap >= len(instance.families.get(d, ())):
+            continue  # too late, or keeps every set (an empty family too)
         if d >= 2 and trigger >= check_level(k, d):
             continue  # the degree is checked once, earlier consolidation only
         consolidations[d] = (trigger, cap)
@@ -174,16 +173,16 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
     full_through = selection.full_through
     if full_through is None:
         full_through = k - 6
-    bounds: List[Tuple[int, int]] = []
+    counts: List[int] = []
     for t in range(1, k + 1):
         if t <= full_through:
-            bounds.append((INT_MAX, INT_MAX))
+            counts.append(INT_MAX)
         elif t == full_through + 1:
-            bounds.append((selection.window_width, INT_MAX))
+            counts.append(selection.wide_count)
         elif t == full_through + 2:
-            bounds.append((INT_MAX, selection.short_width))
+            counts.append(selection.short_count)
         else:
-            bounds.append((0, INT_MAX))
+            counts.append(0)
 
     return (
         instance.universe_size,
@@ -192,7 +191,7 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
         masks_by_degree,
         check_levels,
         consolidations,
-        bounds,
+        counts,
     )
 
 

@@ -120,13 +120,6 @@ def catalogue_digest(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _worker_cap(requested: int) -> int:
-    env = os.environ.get("CHECKER_THREADS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return min(requested, int(env))
-    return requested
-
-
 def _run_batch(args) -> Tuple[List[str], int, int]:
     """Worker entry: search one batch of grid lines; returns the frame
     payload (one formatted report block per grid), the batch's summed
@@ -204,7 +197,6 @@ def run_farm(
     pending = [b for b in batches if b.batch_id not in cp.done]
     recorded = 0
     safety_failures = errors = 0
-    workers = _worker_cap(workers)
 
     def record(batch: WorkBatch, blocks: List[str]) -> None:
         nonlocal recorded

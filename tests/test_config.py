@@ -85,13 +85,14 @@ class TestRoundTrip:
         [
             ({"family_cap": "0"}, "family_cap"),
             ({"clique_cap.2": "0"}, "clique_cap.2"),
-            ({"selection": "auto:64:-1"}, "widths"),
+            ({"selection": "auto:64:-1"}, "counts"),
             ({"consolidate.1": "0:64"}, "triggers and caps"),
             ({"consolidate.2": "3:0"}, "triggers and caps"),
             ({"max_set_size": "3"}, "max_set_size must be at least 4"),
             ({"consolidate.1": "7:4294967297"}, "triggers and caps"),
             ({"consolidate.1": "2147483648:8"}, "triggers and caps"),
-            ({"selection": "auto:-1:5"}, "widths"),
+            ({"selection": "auto:-1:5"}, "counts"),
+            ({"selection": "auto:3000000000:5"}, "counts"),
         ],
     )
     def test_values_no_grid_can_use_refused(self, pairs, message):
@@ -136,8 +137,8 @@ class TestDigest:
         """The digests farm checkpoints store: a change to them stops every
         older checkpoint from resuming."""
         assert config_digest(SearchConfig()) == (
-            "1eec9b3c0ab8c31ba34ed75d5da6840c260b26b2ba4f47e9af9e45e009de7a1e"
+            "6bfacf5af71c577380bd00bfb1c982e59f7370d16217e56b7c87e6598f202f4a"
         )
         assert config_digest(baseline_config()) == (
-            "28c68725c31a5e8f717744c56a43772635066016da0bf0336063b9904af64b55"
+            "f58d7afa3e6361938bd242680a05ef82ed09222dc2c3518375ba142865a5ef68"
         )

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -168,17 +169,22 @@ class TestCon8:
 
 class TestConsolidate:
     """Consolidation compacts a degree's rows to its unhit sets, in slot
-    order, keeping at most `cap` of them."""
+    order, keeping at most `cap` of them.  The plans are made by hand:
+    resolve_plan leaves out these caps, which keep the whole family."""
 
     SETS = [{0, 1}, {2, 3}, {4, 5}]
+
+    def consolidated(self, backends, instance):
+        plan = list(hitting.resolve_plan(instance, EngineConfig()))
+        plan[5] = {2: (1, 8)}  # consolidations
+        return run_plan_each_backend(backends, plan)
 
     def test_all_ones_empties_the_table(self, backends):
         # the degree-2 set holds the whole first drawn-from set, so it is hit
         # at every level-1 node and consolidation leaves an empty table
         families = {1: self.SETS, 2: [{0, 1, 2, 3}]}
         instance = make_instance(8, 3, families)
-        config = EngineConfig(consolidation={2: (1, 8)})
-        got, stats = run_each_backend(backends, instance, config)
+        got, stats = self.consolidated(backends, instance)
         assert stats["consolidations"] == 2
         assert stats["degree_cuts"] == {2: 0}
         without, base = run_each_backend(backends, make_instance(8, 3, {1: self.SETS}))
@@ -188,9 +194,7 @@ class TestConsolidate:
         # no draw from {0, 1} hits the degree-2 set: consolidating its
         # all-zero row renumbers nothing, so the run is the same run
         instance = make_instance(8, 3, {1: self.SETS, 2: [{2, 3, 4, 5}]})
-        got, stats = run_each_backend(
-            backends, instance, EngineConfig(consolidation={2: (1, 8)})
-        )
+        got, stats = self.consolidated(backends, instance)
         plain, base = run_each_backend(
             backends, instance, EngineConfig(consolidation={})
         )
@@ -259,12 +263,13 @@ class TestEffectiveSizeAndSelection:
         assert run_each_backend(backends, worked, config)[0][0] == (0, 3)
 
     def test_fully_dead_selected_set_cuts(self, backends):
-        """Level 0 draws 1 from {0, 1}, level 1 draws 3 from {2, 3} (the
-        width-2 window hides {0, 2}), which leaves {0, 2} unhit with both
-        cells dead: the short scan at level 2 selects it and cuts."""
+        """Level 0 draws 1 from {0, 1}, level 1 draws 3 from {2, 3} (its
+        count of 1 looks at no further set, so not at {0, 2}), which leaves
+        {0, 2} unhit with both cells dead: the short scan at level 2
+        selects it and cuts."""
         instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
         config = EngineConfig(
-            selection=SelectionSchedule(full_through=1, window_width=2, short_width=1)
+            selection=SelectionSchedule(full_through=1, wide_count=1, short_count=1)
         )
         got, stats = run_each_backend(backends, instance, config)
         assert stats["selection_cuts"] == 1
@@ -325,17 +330,21 @@ class TestPinnedPlans:
          3: [{0, 1, 2, 3, 4, 9, 10}]},
     )
     DEGREE_ONE = [24, 1536, 2049, 7, 480]  # sorted by size
-    # selection bounds per level are (window, count), INT_MAX for none
-    FULL, FIRST_UNHIT = (INT_MAX, INT_MAX), (0, INT_MAX)
 
     def test_default_plan(self):
+        """Every default cap keeps these families whole, so no
+        consolidation is left; selection counts are INT_MAX for a full
+        scan and 0 for first-unhit."""
         assert hitting.resolve_plan(self.INSTANCE, EngineConfig()) == (
             20, 8, [1, 2, 3], [self.DEGREE_ONE, [1560, 2529], [1567]],
             {2: 7, 3: 6},
-            {1: (7, 128), 2: (5, 1536), 3: (5, 1536)},
-            [self.FULL, self.FULL, (64, INT_MAX), (INT_MAX, 5)]
-            + [self.FIRST_UNHIT] * 4,
+            {},
+            [INT_MAX, INT_MAX, 64, 5] + [0] * 4,
         )
+
+    def test_caps_below_the_family_size_stay(self):
+        config = EngineConfig(consolidation={1: (7, 4), 2: (5, 2), 3: (5, 1)})
+        assert hitting.resolve_plan(self.INSTANCE, config)[5] == {1: (7, 4)}
 
     def test_baseline_plan(self):
         """No check levels, no consolidation and first-unhit selection at
@@ -346,31 +355,33 @@ class TestPinnedPlans:
         assert config.clique_degrees == ()
         instance = HittingInstance(20, 8, {1: self.INSTANCE.degree_one()})
         assert hitting.resolve_plan(instance, config.engine) == (
-            20, 8, [1], [self.DEGREE_ONE], {}, {},
-            [(0, INT_MAX), (INT_MAX, 0)] + [self.FIRST_UNHIT] * 6,
+            20, 8, [1], [self.DEGREE_ONE], {}, {}, [0] * 8,
         )
 
     def test_zero_widths_draw_from_the_first_unhit_set(self, backends):
-        """A width of 0 is a bound that looks at no set, so its level
-        draws from the first unhit set."""
-        for window, short in ((0, 5), (64, 0)):
-            config = EngineConfig(selection=SelectionSchedule(2, window, short))
-            plan = hitting.resolve_plan(self.INSTANCE, config)
-            assert plan[6][2:4] == [(window, INT_MAX), (INT_MAX, short)]
-            first_unhit = list(plan[6])
-            first_unhit[2 if window == 0 else 3] = self.FIRST_UNHIT
-            for kern in backends.values():
-                runs = []
-                for bounds in (plan[6], first_unhit):
-                    calls = []
-                    stats = kern.run_hitting(*plan[:6], bounds, calls.append, 64)
-                    runs.append((calls, stats))
-                assert runs[0] == runs[1]
+        """A count of 0 looks at no set, so its level draws from the first
+        unhit set.  A count of 1 draws from the same set but looks at it,
+        and cuts when it has no live cell: the two runs differ only in
+        selection cuts.  Under cells 1 and 3, {0, 2} is the first unhit set
+        and both its cells are dead."""
+        instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
+        plan = hitting.resolve_plan(instance, EngineConfig())
+        for kern in backends.values():
+            runs = []
+            for count in (0, 1):
+                calls = []
+                stats = kern.run_hitting(*plan[:6], [count] * 3, calls.append, 64)
+                runs.append((calls, stats))
+            (zero, zero_stats), (one, one_stats) = runs
+            assert zero == one
+            assert zero_stats["selection_cuts"] == 0 < one_stats["selection_cuts"]
+            assert dict(zero_stats, selection_cuts=0) == dict(one_stats, selection_cuts=0)
 
     def test_negative_widths_refused(self):
-        for widths in ((-1, 5), (64, -1)):
-            with pytest.raises(ValueError, match="widths"):
-                SelectionSchedule(None, *widths)
+        for counts in ((-1, 5), (64, -1), (INT_MAX + 1, 5), (64, INT_MAX + 1)):
+            with pytest.raises(ValueError, match="counts"):
+                SelectionSchedule(None, *counts)
+        SelectionSchedule(None, INT_MAX, INT_MAX)
 
     @pytest.mark.parametrize("entry", [(2**31, 8), (7, 2**31), (7, 2**32 + 1)])
     def test_trigger_or_cap_past_a_c_int_refused(self, entry):
@@ -532,7 +543,9 @@ def hub_instance(seed, m, k=3):
 class TestConsolidationScatter:
     """Consolidation at level 1 rebuilds the tables from the kept sets' cell
     masks: m not a multiple of 64 (so unhit slots sit in a partial last
-    word), caps above 64 that stop inside a word, kept sets with cells >= 64."""
+    word), caps above 64 that stop inside a word, kept sets with cells >= 64.
+    The plans are made by hand, since resolve_plan leaves out a cap that
+    keeps the whole family."""
 
     @pytest.mark.parametrize("m", [65, 128, 150])
     def test_parity_and_oracle(self, backends, m):
@@ -544,8 +557,9 @@ class TestConsolidationScatter:
                    for c in range(100) if (first >> c) & 1
                    for mask in instance.families[1][(m - 1) & ~63:])
         for cap in (m, 100, 70):
-            config = EngineConfig(consolidation={1: (1, cap), 2: (1, 70)})
-            got, stats = run_each_backend(backends, instance, config)
+            plan = list(hitting.resolve_plan(instance, EngineConfig()))
+            plan[5] = {1: (1, cap), 2: (1, 70)}  # consolidations
+            got, stats = run_plan_each_backend(backends, plan)
             assert stats["consolidations"] > 0
             assert len(got) == len(set(got))
             if cap >= m:  # nothing dropped: exactly the hitting sets
@@ -560,60 +574,66 @@ class TestConsolidationScatter:
 
 class TestSkippedRebuilds:
     """A consolidation that keeps every unhit set keeps them in slot order
-    and only renumbers them.  The one reader of slot numbers is a degree-1
-    selection window inside the family at or after the trigger; without
-    one, the run equals the run without the consolidation except for the
-    consolidation count.  The reference always rebuilds, so each case
-    checks the native skip."""
+    and only renumbers them.  Nothing reads slot numbers, so the run equals
+    the run without the consolidation except for the consolidation count,
+    and resolve_plan leaves such a consolidation out."""
 
-    # sorted by size: A = {0, 1}, B = {1, 4, 5}, C = {2, 3, 6}, D = {0, 7, 8}
-    SETS = [{0, 1}, {1, 4, 5}, {2, 3, 6}, {0, 7, 8}]
-    # a full scan at level 0, a window of 2 slots at level 1
-    WINDOW = SelectionSchedule(full_through=1, window_width=2)
+    @pytest.mark.parametrize("name", ["python", "native"])
+    def test_keeping_every_set_changes_nothing(self, backends, name):
+        """Random instances and per-level selection counts, each run by
+        hand with and without a consolidation of every degree whose cap
+        keeps all its sets, at random triggers before the degree's check.
+        Degree-d sets hold 3d to 4d cells: with sizes that close, dead
+        cells decide many selections, so a bound that read slot numbers
+        would change the runs."""
+        if name not in backends:
+            pytest.skip(f"no {name} backend")
+        kern = backends[name]
+        rng = random.Random(2201)
+        for trial in range(300):
+            universe = rng.randint(6, 40)
+            k = rng.randint(1, min(7, universe))
+            while comb(universe, k) > 10**5:  # bounds the free-fill
+                k -= 1
+            families = {}
+            for degree in range(1, rng.randint(1, 3) + 1):
+                families[degree] = [
+                    set(rng.sample(range(universe), rng.randint(
+                        min(3 * degree, universe), min(4 * degree, universe))))
+                    for _ in range(rng.randint(1, 24))
+                ]
+            instance = make_instance(universe, k, families)
+            plan = list(hitting.resolve_plan(instance, EngineConfig(consolidation={})))
+            plan[6] = [rng.choice((INT_MAX, 0, 1, 2, 5, 64)) for _ in range(k)]
+            keep_all = {}
+            for d, masks in instance.families.items():
+                last = k - 1 if d == 1 else check_level(k, d) - 1
+                if last >= 0:
+                    m = len(masks)
+                    keep_all[d] = (rng.randint(0, last), rng.choice((m, m + 3, INT_MAX)))
+            runs = []
+            for consolidations in (keep_all, {}):
+                plan[5] = consolidations
+                calls = []
+                runs.append((calls, kern.run_hitting(*plan, calls.append, 7)))
+            (got, stats), (plain, base) = runs
+            assert got == plain, trial
+            assert dict(stats, consolidations=0) == base, trial
 
-    def runs(self, backends, instance, consolidation, selection=SelectionSchedule()):
+    def runs(self, backends, instance, consolidation):
         """(emitted, stats) with `consolidation`, then without any."""
         return [
-            run_each_backend(
-                backends, instance, EngineConfig(consolidation=c, selection=selection)
-            )
+            run_each_backend(backends, instance, EngineConfig(consolidation=c))
             for c in (consolidation, {})
         ]
-
-    def test_window_at_the_trigger_reads_renumbered_slots(self, backends):
-        """Under cell 1, A and B are hit.  Consolidated at level 1 (cap 4,
-        the family's size), the window holds C and D and picks D, whose
-        cell 0 is dead; over the original slots it holds A and B, so it
-        falls back to C."""
-        instance = make_instance(10, 3, {1: self.SETS})
-        (got, stats), (plain, base) = self.runs(
-            backends, instance, {1: (1, 4)}, self.WINDOW
-        )
-        assert sorted(got) == sorted(plain) == brute_force_hitting_sets(instance)
-        assert got[:9] == plain[:9]
-        assert got[9:] == [(1, 2, 7), (1, 3, 7), (1, 6, 7),
-                           (1, 2, 8), (1, 3, 8), (1, 6, 8)]
-        assert plain[9:] == [(1, 2, 7), (1, 2, 8), (1, 3, 7),
-                             (1, 3, 8), (1, 6, 7), (1, 6, 8)]
-        assert (stats["nodes"], stats["consolidations"]) == (23, 2)
-        assert base["nodes"] == 24
-
-    def test_window_before_the_trigger(self, backends):
-        """The same family consolidated at level 2, after the window."""
-        instance = make_instance(10, 3, {1: self.SETS})
-        (got, stats), (plain, base) = self.runs(
-            backends, instance, {1: (2, 4)}, self.WINDOW
-        )
-        assert got == plain
-        assert stats["consolidations"] == 6
-        assert dict(stats, consolidations=0) == base
 
     @pytest.mark.parametrize("cap", [2, 1])
     def test_degree_two_family_at_and_over_its_cap(self, backends, cap):
         """Degree 2 holds X = {0, 2, 6, 7} and Y = {0, 3, 8, 9}, checked at
         level 2 and consolidated at level 1.  Under cell 1 both are unhit
-        there: cap 2 keeps both, so the run is the plain one; cap 1 keeps
-        X only, so the check no longer cuts the child through cell 2."""
+        there: cap 2 keeps both, so the plan leaves it out and the run is
+        the plain one; cap 1 keeps X only, so the check no longer cuts the
+        child through cell 2."""
         instance = make_instance(
             10, 3,
             {1: [{0, 1}, {2, 3}, {4, 5}], 2: [{0, 2, 6, 7}, {0, 3, 8, 9}]},
@@ -621,7 +641,7 @@ class TestSkippedRebuilds:
         (got, stats), (plain, base) = self.runs(backends, instance, {2: (1, cap)})
         assert plain == [(0, 2, 4), (0, 2, 5), (0, 3, 4), (0, 3, 5)]
         assert base["degree_cuts"] == {2: 2}
-        assert stats["consolidations"] == 2
+        assert stats["consolidations"] == (0 if cap == 2 else 2)
         if cap == 2:
             assert got == plain
             assert dict(stats, consolidations=0) == base
@@ -632,8 +652,8 @@ class TestSkippedRebuilds:
     def test_pinned_nine_by_nine_counters(self, native_required, monkeypatch):
         """search_grid at k=12, max_set_size=8 on a pinned grid: 45
         degree-1 sets under cap 128 and 140 / 509 / 1146 cliques of degrees
-        2-4 under cap 1536 skip their rebuilds; the 1856 of degree 5 do
-        not."""
+        2-4 under cap 1536 are not consolidated; the 1856 of degree 5 are,
+        and theirs are the only consolidations counted."""
         from minclue import checker
         from minclue.grid import parse_grid
         from test_acceptance import PINNED_9X9
@@ -651,7 +671,7 @@ class TestSkippedRebuilds:
         [stats] = runs
         assert stats["nodes"] == 88678
         assert stats["degree_cuts"] == {2: 1669, 3: 2883, 4: 2207, 5: 62051}
-        assert stats["consolidations"] == 15093
+        assert stats["consolidations"] == 683
         assert stats["selection_cuts"] == 0
         assert stats["emitted"] == 3
 
@@ -804,15 +824,16 @@ def wide_instances(draw):
         if not a & b:
             deg2.append(a | b)
     families = {1: deg1, 2: deg2} if deg2 else {1: deg1}
-    consolidation = {1: (1, draw(st.integers(1, 150)))}
+    # a cap below the family size, which resolve_plan keeps
+    consolidation = {1: (1, draw(st.integers(1, len(deg1) - 1)))}
     if k >= 4:
         consolidation[2] = (draw(st.integers(1, k - 2)), draw(st.integers(1, 150)))
     config = EngineConfig(
         consolidation=consolidation,
         selection=SelectionSchedule(
             full_through=draw(st.integers(0, k)),
-            window_width=draw(st.integers(1, 80)),
-            short_width=draw(st.integers(1, 6)),
+            wide_count=draw(st.integers(1, 80)),
+            short_count=draw(st.integers(1, 6)),
         ),
     )
     # degree checks and effective sizes on or off; consolidation stays on

@@ -23,6 +23,19 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 SUITES = ("tests/test_backends.py", "tests/test_hitting.py", "tests/test_checker.py")
 
 
+def copy_checkout(dest: Path) -> Path:
+    """A copy of `src/`, `tests/` and `pyproject.toml` under `dest`, with
+    no built library; returns the copy's package directory."""
+    for part in ("src", "tests"):
+        shutil.copytree(
+            ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__")
+        )
+    shutil.copy(ROOT / "pyproject.toml", dest)
+    package = dest / "src" / "minclue"
+    (package / "__pycache__").mkdir()
+    return package
+
+
 def _runtime(name: str) -> Path:
     """The path gcc reports for a sanitizer runtime; it echoes the bare
     name when it has none."""
@@ -41,16 +54,8 @@ def test_kernels_under_sanitizers(tmp_path):
         pytest.skip("no gcc")
     preload = [_runtime("libasan.so"), _runtime("libubsan.so")]
     copy = tmp_path / "copy"
-    shutil.copytree(
-        ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__")
-    )
-    shutil.copytree(
-        ROOT / "tests", copy / "tests", ignore=shutil.ignore_patterns("__pycache__")
-    )
-    shutil.copy(ROOT / "pyproject.toml", copy)
+    package = copy_checkout(copy)
     # the copy's source is this one, so its loader looks for this name
-    package = copy / "src" / "minclue"
-    (package / "__pycache__").mkdir()
     subprocess.run(
         ["gcc", *SANITIZE, "-std=c99", "-shared", "-fPIC",
          "-o", str(package / "__pycache__" / _cbuild.library_name()),

@@ -200,13 +200,6 @@ class TestRunFarm:
         assert Checkpoint.load(cp_path).done == {0, 1}
         assert len(merge_outputs(out_path)) == 50
 
-    def test_worker_cap_env(self, catalogue_50, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHECKER_THREADS", "1")
-        cp_path, out_path = farm_paths(tmp_path, "envcap")
-        summary = run_farm(catalogue_50, 4, workers=8, batch_size=25,
-                           checkpoint_path=cp_path, output_path=out_path)
-        assert summary.recorded_now == 2
-
     def test_crash_equivalence_at_five_kill_points(self, catalogue_50, tmp_path):
         cp_path, out_path = farm_paths(tmp_path, "reference")
         run_farm(catalogue_50, 4, workers=2, batch_size=5,
