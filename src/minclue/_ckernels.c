@@ -4,11 +4,11 @@
  *
  * minclue._native loads this file through ctypes.  Semantics, emission
  * order and counters match minclue._pykernels exactly; that module is the
- * reference.  One exception in order only: with max_per_digit == 2 the
- * diff enumerator does not search the blanked board like the reference.
- * Every blanked digit must then move by a rectangle swap (see rect_swaps),
- * so it emits the same multiset of masks by combining swaps, in another
- * order.  The solver supports boards up to 16x16 (256 cells); the diff
+ * reference.  One exception in order only: the diff enumerator does not
+ * search the blanked board like the reference.  Under every budget it
+ * builds the moves each blanked digit can make and combines one move per
+ * digit (see walk and combine), so it emits the same multiset of masks in
+ * another order.  The solver supports boards up to 16x16 (256 cells); the diff
  * enumerator, the clique builder and the hitting engine work on universes
  * of up to 128 cells, which covers every shape with a text format.  The
  * clique builder and the hitting engine take set masks as 16 little-endian
@@ -173,81 +173,9 @@ static inline unsigned int candidates(const Geo *geo, const Board *b, int c)
                                   | b->box_used[geo->box_of[c]]);
 }
 
-/* Diff budget of the alternate-completion enumerator; mirrors
- * _pykernels._DiffBudget including every structural cut. */
-typedef struct {
-    u8 ref[MAX_CELLS];
-    int max_diff;
-    int max_per_digit;
-    int total;
-    int deficit;
-    int per_digit[MAX_N + 1];
-    int digit_open[MAX_N + 1];
-    int unit_blanks[MAX_UNITS];
-    int unit_diffs[MAX_UNITS];
-    int open_singles[3];
-    u64 mask_lo;
-    u64 mask_hi;
-} DiffCtx;
-
-/* Record digit d placed at cell c; 0 when any budget is exceeded. */
-static int diff_note(const Geo *geo, DiffCtx *ctx, int c, int d)
-{
-    int n = geo->n;
-    int r = ctx->ref[c];
-    int differs = d != r;
-    int count_before = ctx->per_digit[r];
-    int open_before = ctx->digit_open[r];
-    int units[3];
-    int bound;
-    ctx->digit_open[r] = open_before - 1;
-    if (differs) {
-        if (++ctx->total > ctx->max_diff)
-            return 0;
-        ctx->per_digit[r] = count_before + 1;
-        if (ctx->per_digit[r] > ctx->max_per_digit)
-            return 0;
-        if (count_before < 2)
-            ctx->deficit -= 1;
-        if (c < 64)
-            ctx->mask_lo |= (u64)1 << c;
-        else
-            ctx->mask_hi |= (u64)1 << (c - 64);
-    }
-    if (open_before == 1 && ctx->per_digit[r] < 2)
-        return 0; /* digit closed while still needing changes */
-    units[0] = geo->row_of[c];
-    units[1] = n + geo->col_of[c];
-    units[2] = 2 * n + geo->box_of[c];
-    for (int kind = 0; kind < 3; ++kind) {
-        int u = units[kind];
-        int blanks_before = ctx->unit_blanks[u];
-        int diffs_before = ctx->unit_diffs[u];
-        int blanks = blanks_before - 1;
-        int diffs = differs ? diffs_before + 1 : diffs_before;
-        int was_open, now_open;
-        ctx->unit_blanks[u] = blanks;
-        ctx->unit_diffs[u] = diffs;
-        if (blanks == 0 && diffs == 1)
-            return 0;
-        was_open = diffs_before == 1 && blanks_before > 0;
-        now_open = diffs == 1 && blanks > 0;
-        if (was_open != now_open)
-            ctx->open_singles[kind] += now_open ? 1 : -1;
-    }
-    bound = ctx->open_singles[0];
-    if (ctx->open_singles[1] > bound)
-        bound = ctx->open_singles[1];
-    if (ctx->open_singles[2] > bound)
-        bound = ctx->open_singles[2];
-    if (ctx->deficit > bound)
-        bound = ctx->deficit;
-    return ctx->total + bound <= ctx->max_diff;
-}
-
-/* Naked + hidden singles to fixpoint; -1 on contradiction or budget cut,
- * else the number of remaining blanks.  ctx may be NULL. */
-static int propagate(const Geo *geo, Board *b, DiffCtx *ctx)
+/* Naked + hidden singles to fixpoint; -1 on contradiction, else the
+ * number of remaining blanks. */
+static int propagate(const Geo *geo, Board *b)
 {
     int n = geo->n;
     unsigned int full = (1u << n) - 1;
@@ -265,8 +193,6 @@ static int propagate(const Geo *geo, Board *b, DiffCtx *ctx)
             } else {
                 int d = bit_digit(cand);
                 assign(geo, b, c, d);
-                if (ctx != NULL && !diff_note(geo, ctx, c, d))
-                    return -1;
                 changed = 1;
             }
         }
@@ -300,8 +226,6 @@ static int propagate(const Geo *geo, Board *b, DiffCtx *ctx)
                     if (b->grid[c] == 0 && (candidates(geo, b, c) & low)) {
                         int d = bit_digit(low);
                         assign(geo, b, c, d);
-                        if (ctx != NULL && !diff_note(geo, ctx, c, d))
-                            return -1;
                         changed = 1;
                         break;
                     }
@@ -336,7 +260,7 @@ static int pick_branch_cell(const Geo *geo, const Board *b)
  * out[0..ncells) and out[ncells..2*ncells). */
 static int solve_rec(const Geo *geo, Board *b, int limit, int *saved, u8 *out)
 {
-    int blanks = propagate(geo, b, NULL);
+    int blanks = propagate(geo, b);
     int c, total = 0;
     unsigned int cand;
     if (blanks < 0)
@@ -418,7 +342,7 @@ static int completion_ok(const Geo *geo, const u8 *grid, const u8 *clues)
 static int witness_rec(const Geo *geo, Board *b, const u8 *grid, int *reached,
                        u8 *out)
 {
-    int blanks = propagate(geo, b, NULL);
+    int blanks = propagate(geo, b);
     int c;
     unsigned int cand, own;
     if (blanks < 0)
@@ -561,7 +485,26 @@ int mc_confirm(int box_rows, int box_cols, const u8 *digits, int k, int count,
 }
 
 /* ------------------------------------------------------------------------
- * alternate-completion enumeration */
+ * alternate-completion enumeration, by combining per-digit moves
+ *
+ * A completion of the blanked board differs from the solution only in
+ * blank cells.  Take one digit d and the set R of rows in which the
+ * completion holds d in another column than the solution.  d leaves its
+ * cells in R (the vacated cells), and since the completion holds d once
+ * per column, it moves to the columns it held in R, permuted with no fixed
+ * point (the filled cells); |R| is then at least 2.  Such a move, with one
+ * d per box afterwards and every vacated and filled cell blank, is all a
+ * digit can do.  A completion is one move per digit whose filled cells are
+ * pairwise disjoint and are together exactly the vacated cells, and each
+ * such choice is one completion: every row, column and box then holds each
+ * digit once, and every cell one digit.
+ *
+ * The bounds of _pykernels.enumerate_diffs become bounds on the moves:
+ * each digit with a blank cell moves (the deficit rule), by at most
+ * max_per_digit rows, and the vacated cells, which are the difference
+ * set, number at most max_diff.  So this emits the reference's multiset of
+ * masks, one per completion, in another order, without searching the
+ * board.  With max_per_digit == 2 every move is a rectangle swap. */
 
 static int emit_mask(u64 lo, u64 hi, mc_emit_fn emit)
 {
@@ -571,214 +514,190 @@ static int emit_mask(u64 lo, u64 hi, mc_emit_fn emit)
     return emit(buf, 16) ? MC_ABORTED : MC_OK;
 }
 
-static int diff_rec(const Geo *geo, Board *b, DiffCtx *ctx, mc_emit_fn emit)
+typedef struct {
+    u64 vac[2];  /* the cells the digit leaves */
+    u64 fill[2]; /* the cells it moves to */
+    int size;    /* rows moved: |vac| == |fill| */
+} Move;
+
+typedef struct {
+    int ndigits;         /* blanked digits, in ascending order */
+    u64 cells[MAX_N][2]; /* every cell of the i-th blanked digit */
+    int first[MAX_N + 1]; /* moves of digit i: move[first[i] .. first[i + 1]) */
+    Move *move;
+    int nmoves, capacity;
+    int max_diff;
+    mc_emit_fn emit;
+} Moves;
+
+/* One digit's move walk: its column in each row and its row in each
+ * column, the blank cells and the cap on rows moved. */
+typedef struct {
+    const Geo *geo;
+    const u64 *blank;
+    int col_in_row[MAX_N];
+    int row_in_col[MAX_N];
+    int max_per_digit;
+    Moves *out;
+} Walk;
+
+static int add_move(Moves *mv, const u64 *vac, const u64 *fill, int size)
 {
-    int blanks = propagate(geo, b, ctx);
-    int c;
-    unsigned int cand;
-    if (blanks < 0)
+    Move *m;
+    if (mv->nmoves == mv->capacity) {
+        int capacity = mv->capacity ? 2 * mv->capacity : 256;
+        Move *grown = realloc(mv->move, (size_t)capacity * sizeof(Move));
+        if (grown == NULL)
+            return MC_NO_MEMORY;
+        mv->move = grown;
+        mv->capacity = capacity;
+    }
+    m = &mv->move[mv->nmoves++];
+    m->vac[0] = vac[0];
+    m->vac[1] = vac[1];
+    m->fill[0] = fill[0];
+    m->fill[1] = fill[1];
+    m->size = size;
+    return MC_OK;
+}
+
+/* Place the digit in rows r onward.  cols and boxes hold the columns and
+ * boxes it takes in rows 0..r-1; owed holds the later rows whose column an
+ * earlier row moved into, which must move as well.  In row r the digit
+ * keeps its cell when that column and box are free, or moves to a free
+ * column of a free box, leaving and filling blank cells only, while the
+ * rows moved and owed number at most max_per_digit. */
+static int walk(const Walk *wk, int r, unsigned int cols, unsigned int boxes,
+                unsigned int owed, int moved, const u64 *vac, const u64 *fill)
+{
+    const Geo *geo = wk->geo;
+    int n = geo->n, c0, status;
+    if (r == n)
+        return moved ? add_move(wk->out, vac, fill, moved) : MC_OK;
+    c0 = wk->col_in_row[r];
+    if (!(cols >> c0 & 1) && !(boxes >> geo->box_of[r * n + c0] & 1)) {
+        status = walk(wk, r + 1, cols | 1u << c0, boxes | 1u << geo->box_of[r * n + c0],
+                      owed, moved, vac, fill);
+        if (status)
+            return status;
+    }
+    if (!mask_bit(wk->blank[0], wk->blank[1], r * n + c0)
+        || moved + 1 + popcount64(owed & ~(1u << r)) > wk->max_per_digit)
         return MC_OK;
-    if (blanks == 0)
-        return (ctx->mask_lo || ctx->mask_hi) ? emit_mask(ctx->mask_lo, ctx->mask_hi, emit)
-                                               : MC_OK;
-    c = pick_branch_cell(geo, b);
-    cand = candidates(geo, b, c);
-    while (cand) {
-        unsigned int low = cand & (0u - cand);
-        int d = bit_digit(low);
-        Board nb = *b;
-        DiffCtx nctx = *ctx;
-        cand ^= low;
-        assign(geo, &nb, c, d);
-        if (diff_note(geo, &nctx, c, d) && diff_rec(geo, &nb, &nctx, emit))
-            return MC_ABORTED;
+    for (int c = 0; c < n; ++c) {
+        int cell = r * n + c, box = geo->box_of[cell], r2 = wk->row_in_col[c];
+        unsigned int next_owed = owed & ~(1u << r);
+        u64 v[2], f[2];
+        if (c == c0 || (cols >> c & 1) || (boxes >> box & 1)
+            || !mask_bit(wk->blank[0], wk->blank[1], cell))
+            continue;
+        if (r2 > r) {
+            if (!mask_bit(wk->blank[0], wk->blank[1], r2 * n + c))
+                continue;
+            next_owed |= 1u << r2;
+        }
+        if (moved + 1 + popcount64(next_owed) > wk->max_per_digit)
+            continue;
+        v[0] = vac[0];
+        v[1] = vac[1];
+        f[0] = fill[0];
+        f[1] = fill[1];
+        set_cell(v, r * n + c0);
+        set_cell(f, cell);
+        status = walk(wk, r + 1, cols | 1u << c, boxes | 1u << box, next_owed,
+                      moved + 1, v, f);
+        if (status)
+            return status;
     }
     return MC_OK;
 }
 
-/* Rectangle swaps: the max_per_digit == 2 case, exactly.
- *
- * The budget makes every blanked digit change at least twice, so with a cap
- * of two each blanked digit d leaves exactly two of its cells, (r1,c1) and
- * (r2,c2), and keeps every other one.  Those keep d in all rows and columns
- * but r1, r2, c1, c2, so d moves to (r1,c2) and (r2,c1): a rectangle swap.
- * It keeps d once per box iff r1, r2 share a band or c1, c2 share a stack,
- * and it is possible only when all four cells are blank.  A completion is
- * then one swap per blanked digit whose filled cells are exactly the
- * vacated cells; every completion is one such choice, and each choice is
- * one completion, so this emits the same masks as diff_rec (in another
- * order) without searching the board. */
-
-enum { RECT_MAX_SWAPS = MAX_N * (MAX_N - 1) / 2 };
-
-typedef struct {
-    u64 vac[2];   /* the two cells the digit leaves */
-    u64 fill[2];  /* the two cells it moves to */
-} Swap;
-
-typedef struct {
-    int ndigits;                 /* blanked digits, in ascending order */
-    u64 cells[MAX_N][2];         /* every cell of the i-th blanked digit */
-    int nswaps[MAX_N];
-    Swap swaps[MAX_N][RECT_MAX_SWAPS];
-    mc_emit_fn emit;
-} RectCtx;
-
-/* Pick a swap for blanked digit i onward.  filled/vacated hold the cells
- * of the swaps chosen so far, placed the cells of digits 0..i-1.  A swap is
- * kept when its filled cells are free and when afterwards every filled
- * cell of a placed digit is one that digit vacated; at the last digit every
- * filled cell is such a cell, and filled and vacated both hold 2*ndigits
- * cells, so they are equal. */
-static int rect_rec(const RectCtx *rc, int i, const u64 *filled,
-                    const u64 *vacated, const u64 *placed)
+/* Pick a move for blanked digit i onward.  filled/vacated hold the cells
+ * of the moves chosen so far, size their count, placed the cells of digits
+ * 0..i-1.  A move is kept when its filled cells are free, when afterwards
+ * every filled cell of a placed digit is one that digit vacated, and when
+ * the size stays within max_diff with 2 to spare per later digit.  At the
+ * last digit every filled cell is such a cell, and filled and vacated hold
+ * as many cells, so they are equal. */
+static int combine(const Moves *mv, int i, int size, const u64 *filled,
+                   const u64 *vacated, const u64 *placed)
 {
+    int room = mv->max_diff - size;
+    int later = 2 * (mv->ndigits - i - 1);
     u64 p[2];
-    if (i == rc->ndigits)
-        return emit_mask(vacated[0], vacated[1], rc->emit);
-    p[0] = placed[0] | rc->cells[i][0];
-    p[1] = placed[1] | rc->cells[i][1];
-    for (int s = 0; s < rc->nswaps[i]; ++s) {
-        const Swap *sw = &rc->swaps[i][s];
+    if (i == mv->ndigits)
+        return emit_mask(vacated[0], vacated[1], mv->emit);
+    p[0] = placed[0] | mv->cells[i][0];
+    p[1] = placed[1] | mv->cells[i][1];
+    for (int s = mv->first[i]; s < mv->first[i + 1]; ++s) {
+        const Move *m = &mv->move[s];
         u64 f[2], v[2];
-        int ok = 1;
+        int ok = m->size + later <= room;
         for (int w = 0; w < 2; ++w) {
-            f[w] = filled[w] | sw->fill[w];
-            v[w] = vacated[w] | sw->vac[w];
-            if ((filled[w] & sw->fill[w]) || (f[w] & p[w] & ~v[w]))
+            f[w] = filled[w] | m->fill[w];
+            v[w] = vacated[w] | m->vac[w];
+            if ((filled[w] & m->fill[w]) || (f[w] & p[w] & ~v[w]))
                 ok = 0;
         }
-        if (ok && rect_rec(rc, i + 1, f, v, p))
+        if (ok && combine(mv, i + 1, size + m->size, f, v, p))
             return MC_ABORTED;
     }
     return MC_OK;
-}
-
-static int rect_swaps(const Geo *geo, int box_rows, int box_cols,
-                      const u8 *solution, const u64 *blank, int max_diff,
-                      mc_emit_fn emit)
-{
-    int n = geo->n;
-    int col_in_row[MAX_N + 1][MAX_N];
-    int blanked[MAX_N + 1] = {0};
-    u64 none[2] = {0, 0};
-    RectCtx *rc;
-    int status;
-    for (int c = 0; c < geo->ncells; ++c) {
-        col_in_row[solution[c]][geo->row_of[c]] = geo->col_of[c];
-        if (mask_bit(blank[0], blank[1], c))
-            blanked[solution[c]] = 1;
-    }
-    rc = calloc(1, sizeof(RectCtx));
-    if (rc == NULL)
-        return MC_NO_MEMORY;
-    rc->emit = emit;
-    for (int d = 1; d <= n; ++d) {
-        int i;
-        if (!blanked[d])
-            continue;
-        i = rc->ndigits++;
-        for (int r = 0; r < n; ++r)
-            set_cell(rc->cells[i], r * n + col_in_row[d][r]);
-        for (int r1 = 0; r1 < n; ++r1) {
-            for (int r2 = r1 + 1; r2 < n; ++r2) {
-                int c1 = col_in_row[d][r1], c2 = col_in_row[d][r2];
-                int corners[4] = {r1 * n + c1, r2 * n + c2, r1 * n + c2, r2 * n + c1};
-                Swap *sw;
-                int all_blank = 1;
-                if (r1 / box_rows != r2 / box_rows && c1 / box_cols != c2 / box_cols)
-                    continue;
-                for (int j = 0; j < 4; ++j)
-                    all_blank &= mask_bit(blank[0], blank[1], corners[j]);
-                if (!all_blank)
-                    continue;
-                sw = &rc->swaps[i][rc->nswaps[i]++];
-                set_cell(sw->vac, corners[0]);
-                set_cell(sw->vac, corners[1]);
-                set_cell(sw->fill, corners[2]);
-                set_cell(sw->fill, corners[3]);
-            }
-        }
-    }
-    status = MC_OK;
-    if (rc->ndigits > 0 && 2 * rc->ndigits <= max_diff)
-        status = rect_rec(rc, 0, none, none, none);
-    free(rc);
-    return status;
 }
 
 /* Emit, as 16-byte little-endian cell masks, the cells where bounded
  * alternate completions of `solution` (blank cells given by the mask
  * blank_lo | blank_hi << 64) differ from it; see
- * _pykernels.enumerate_diffs for the contract.  max_per_digit == 2 goes to
- * rect_swaps, every other budget to the blanked-board search below.
- * Returns MC_BAD_ARGUMENT for an unsupported shape or a `solution` that is
- * not a valid grid (rect_swaps reads each digit's column in every row). */
+ * _pykernels.enumerate_diffs for the contract.  Builds each blanked
+ * digit's moves (walk), then combines them (combine).  Returns
+ * MC_BAD_ARGUMENT for an unsupported shape or a `solution` that is not a
+ * valid grid (the walk reads each digit's column in every row). */
 int mc_enumerate_diffs(int box_rows, int box_cols, const u8 *solution,
                        u64 blank_lo, u64 blank_hi, int max_diff,
                        int max_per_digit, mc_emit_fn emit)
 {
     Geo geo;
-    u8 base_cells[MAX_CELLS];
-    int blank_cells[MAX_CELLS];
-    int n_blanks = 0, n;
-    DiffCtx proto;
+    u64 blank[2] = {blank_lo, blank_hi};
+    u64 none[2] = {0, 0};
+    int blanked[MAX_N + 1] = {0};
+    Walk wk;
+    Moves mv = {0};
+    int status = MC_OK;
     if (!build_geo(&geo, box_rows, box_cols) || geo.ncells > MAX_UNIVERSE)
         return MC_BAD_ARGUMENT;
-    n = geo.n;
     if (!grid_ok(&geo, solution))
         return MC_BAD_ARGUMENT;
-    if (max_per_digit == 2) {
-        u64 blank[2] = {blank_lo, blank_hi};
-        return rect_swaps(&geo, box_rows, box_cols, solution, blank, max_diff, emit);
-    }
-    memset(&proto, 0, sizeof(DiffCtx));
-    proto.max_diff = max_diff;
-    proto.max_per_digit = max_per_digit;
-    for (int c = 0; c < geo.ncells; ++c) {
-        proto.ref[c] = solution[c];
-        if (mask_bit(blank_lo, blank_hi, c)) {
-            base_cells[c] = 0;
-            blank_cells[n_blanks++] = c;
-            proto.unit_blanks[geo.row_of[c]] += 1;
-            proto.unit_blanks[n + geo.col_of[c]] += 1;
-            proto.unit_blanks[2 * n + geo.box_of[c]] += 1;
-            proto.digit_open[solution[c]] += 1;
-        } else {
-            base_cells[c] = solution[c];
+    mv.max_diff = max_diff;
+    mv.emit = emit;
+    wk.geo = &geo;
+    wk.blank = blank;
+    wk.max_per_digit = max_per_digit;
+    wk.out = &mv;
+    for (int c = 0; c < geo.ncells; ++c)
+        if (mask_bit(blank_lo, blank_hi, c))
+            blanked[solution[c]] = 1;
+    for (int d = 1; d <= geo.n; ++d)
+        mv.ndigits += blanked[d];
+    if (mv.ndigits == 0 || 2 * mv.ndigits > max_diff)
+        return MC_OK;
+    for (int d = 1, i = 0; d <= geo.n && status == MC_OK; ++d) {
+        if (!blanked[d])
+            continue;
+        for (int c = 0; c < geo.ncells; ++c) {
+            if (solution[c] != d)
+                continue;
+            wk.col_in_row[geo.row_of[c]] = geo.col_of[c];
+            wk.row_in_col[geo.col_of[c]] = geo.row_of[c];
+            set_cell(mv.cells[i], c);
         }
+        mv.first[i] = mv.nmoves;
+        status = walk(&wk, 0, 0, 0, 0, 0, none, none);
+        mv.first[++i] = mv.nmoves;
     }
-    for (int d = 1; d <= n; ++d)
-        if (proto.digit_open[d])
-            proto.deficit += 2;
-
-    /* split on the smallest changed cell: blanks below it are pinned to
-     * the reference digits, so each completion is reached exactly once */
-    for (int split = 0; split < n_blanks; ++split) {
-        int c0 = blank_cells[split];
-        Board board;
-        DiffCtx ctx = proto;
-        unsigned int cand;
-        board_init(&geo, &board, base_cells);
-        for (int i = 0; i < split; ++i) {
-            int c = blank_cells[i];
-            assign(&geo, &board, c, proto.ref[c]);
-            if (!diff_note(&geo, &ctx, c, proto.ref[c]))
-                return MC_OK; /* longer pinned prefixes fail at the same cell */
-        }
-        cand = candidates(&geo, &board, c0) & ~(1u << (proto.ref[c0] - 1));
-        while (cand) {
-            unsigned int low = cand & (0u - cand);
-            int d = bit_digit(low);
-            Board nb = board;
-            DiffCtx nctx = ctx;
-            cand ^= low;
-            assign(&geo, &nb, c0, d);
-            if (diff_note(&geo, &nctx, c0, d) && diff_rec(&geo, &nb, &nctx, emit))
-                return MC_ABORTED;
-        }
-    }
-    return MC_OK;
+    if (status == MC_OK)
+        status = combine(&mv, 0, 0, none, none, none);
+    free(mv.move);
+    return status;
 }
 
 /* ------------------------------------------------------------------------

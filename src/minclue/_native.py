@@ -3,7 +3,8 @@
 The entry points (`solve_limit`, `confirm`, `enumerate_diffs`, `cliques`
 and `run_hitting`) take the same arguments and return the same results as
 those of `_pykernels`, which is the reference (`enumerate_diffs` the same
-multiset of masks, in unspecified order).  `run_hitting` fills its batches
+multiset of masks, in unspecified order: it combines per-digit moves where
+the reference searches the blanked board).  `run_hitting` fills its batches
 of candidates in C, so the engine calls into Python once per batch, not
 once per candidate; `cliques` hands back all its unions in one buffer.
 Set masks cross into C packed, 16 little-endian bytes each.  Importing
@@ -180,9 +181,9 @@ def enumerate_diffs(box_rows: int, box_cols: int, solution, blank_mask: int,
                     max_diff: int, max_per_digit: int):
     """Masks of cells where bounded alternate completions differ from
     `solution`; see the reference backend for the full contract.  The
-    masks are a multiset in unspecified order: with max_per_digit == 2
-    the C side combines rectangle swaps instead of searching the board,
-    which yields the reference's masks in another order."""
+    masks are a multiset in unspecified order: the C side combines one
+    move per blanked digit instead of searching the board, which yields
+    the reference's masks in another order."""
     ncells = (box_rows * box_cols) ** 2
     if len(solution) != ncells:
         raise ValueError(f"expected {ncells} cells")

@@ -40,7 +40,9 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 
 def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[int]]:
-    """Returns the search configuration plus k when the file pins one."""
+    """Returns the search configuration plus k when the file pins one.  A
+    `version` other than CHECKER_VERSION is refused: its keys may mean
+    something else under this version."""
     config = SearchConfig()
     engine = config.engine
     k: Optional[int] = None
@@ -53,7 +55,11 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
         if key == "k":
             k = int(value)
         elif key == "version":
-            pass  # informational
+            if value != CHECKER_VERSION:
+                raise ValueError(
+                    f"configuration version {value} cannot be replayed by"
+                    f" checker version {CHECKER_VERSION}"
+                )
         elif key == "max_set_size":
             config = replace(
                 config, max_set_size=None if value == "auto" else int(value)

@@ -17,13 +17,14 @@ distinct digits, each appearing at least twice) is witnessed under its own
 digit set.  Subset-minimality filtering across the candidates then yields
 exactly the minimal sets.
 
-The largest digit-subset size, max_size/2 digits when max_size is even,
-allows each digit exactly two changes.  A digit that changes in exactly two
-cells, (r1,c1) and (r2,c2), keeps its other places, so it moves to (r1,c2)
-and (r2,c1): a rectangle swap, legal only when r1, r2 share a band or c1,
-c2 share a stack.  The native kernel enumerates that layer by combining one
-swap per digit instead of searching the blanked board, with the same
-results; `find_minimal_unavoidable` makes the same call for every layer.
+A blanked digit that changes leaves its cells in some set R of rows and
+moves to the columns it held in R, permuted with no fixed point, keeping
+one cell per box; every cell it leaves or fills is blank.  The native
+kernel lists each blanked digit's moves and combines one per digit whose
+filled cells are disjoint and equal the vacated ones, instead of searching
+the blanked board, with the same results; with two changes per digit every
+move is a rectangle swap.  `find_minimal_unavoidable` makes the same
+`kernels.enumerate_diffs` call for every digit subset.
 """
 
 from __future__ import annotations

@@ -117,7 +117,9 @@ class TestSinkExceptions:
             # the engine still runs normally afterwards
             assert kern.run_hitting(*plan, lambda batch: None, 1)["emitted"] == 9
 
-    def test_diff_collector_error_reaches_the_caller(self, backends, monkeypatch):
+    def test_diff_collector_error_at_budget_8_reaches_the_caller(
+        self, backends, monkeypatch
+    ):
         if "native" not in backends:
             pytest.skip("single backend")
         grid = random_solution_grid(SHAPE_9X9, random.Random(3))
@@ -125,8 +127,10 @@ class TestSinkExceptions:
         args = (3, 3, grid.digits, blank, 12, 8)
         self.abort_and_rerun(backends["native"], monkeypatch, args)
 
-    def test_rectangle_collector_error_reaches_the_caller(self, backends, monkeypatch):
-        """max_per_digit=2 takes the native rectangle-swap path."""
+    def test_diff_collector_error_at_budget_2_reaches_the_caller(
+        self, backends, monkeypatch
+    ):
+        """max_per_digit=2: every move is a rectangle swap."""
         if "native" not in backends:
             pytest.skip("single backend")
         grid = random_solution_grid(SHAPE_4X4, random.Random(3))
@@ -190,18 +194,21 @@ class TestDiffParity:
         seed=st.integers(0, 2**32 - 1),
         count=st.integers(0, 6),
         thin=st.booleans(),
+        per_digit=st.integers(2, 8),
+        slack=st.integers(0, 13),
     )
-    @example(shape=SHAPE_9X9, seed=22, count=6, thin=True)
-    def test_rectangle_swaps_match_the_reference(
-        self, backends, shape, seed, count, thin
+    @example(shape=SHAPE_9X9, seed=22, count=6, thin=True, per_digit=2, slack=1)
+    def test_moves_match_the_reference(
+        self, backends, shape, seed, count, thin, per_digit, slack
     ):
-        """max_per_digit=2: the native rectangle-swap enumerator against
-        the reference's blanked-board search, for whole digit classes and
-        randomly thinned ones, with max_diff below and at 2 per digit.  Six
-        digits are always thinned, which keeps the reference fast (whole
-        classes take it seconds).  In the pinned 9x9 example a rect_rec
-        that let two digits fill one cell would emit a mask the reference
-        does not."""
+        """The native enumerator, which combines one move per blanked
+        digit, against the reference's blanked-board search: max_per_digit
+        from 2 to 8, max_diff from one below 2 per blanked digit up to 12,
+        for whole digit classes and randomly thinned ones.  Five or six
+        digits are always thinned, which keeps the reference fast (six
+        whole classes of 6x6 or 9x9 take it seconds).  In the pinned 9x9
+        example a combine step that let two digits fill one cell would
+        emit a mask the reference does not."""
         if "native" not in backends:
             pytest.skip("single backend")
         py, native = backends["python"], backends["native"]
@@ -210,20 +217,24 @@ class TestDiffParity:
         n, ncells = shape.side, shape.cell_count
         digits = rng.sample(range(1, n + 1), min(count, n))
         blank = digit_cells(grid, digits)
-        if thin or count == 6:
+        if thin or count > 4:
             blank &= rng.getrandbits(ncells) | rng.getrandbits(ncells)
         blanked = {d for c, d in enumerate(grid.digits) if (blank >> c) & 1}
-        for max_diff in (2 * len(blanked) - 1, 2 * len(blanked)):
+        least = 2 * len(blanked) - 1
+        for max_diff in sorted({least, max(least, min(least + slack, 12))}):
             for mask in (blank, 0):
-                args = (shape.box_rows, shape.box_cols, grid.digits, mask, max_diff, 2)
+                args = (
+                    shape.box_rows, shape.box_cols, grid.digits, mask,
+                    max_diff, per_digit,
+                )
                 got = sorted(native.enumerate_diffs(*args))
                 assert got == sorted(py.enumerate_diffs(*args)), (max_diff, mask)
-                if mask == 0 or max_diff < 2 * len(blanked):
+                if mask == 0 or max_diff == least:
                     assert got == []
 
     def test_bad_solution_raises(self, backends):
-        """Every backend refuses a solution that is no grid, on the
-        board-search path (max_per_digit 4) and the rectangle path (2)."""
+        """Every backend refuses a solution that is no grid, under
+        max_per_digit 4 and 2."""
         digits = random_solution_grid(SHAPE_4X4, random.Random(4)).digits
         for name, kern in backends.items():
             for solution in (
@@ -241,8 +252,9 @@ class TestFinderParity:
         "shape, max_size, seed", [(SHAPE_6X6, 10, 6), (SHAPE_9X9, 8, 9)]
     )
     def test_same_family(self, backends, monkeypatch, shape, max_size, seed):
-        """The whole finder, top rectangle-swap layer included, gives the
-        same minimal family on both backends."""
+        """The whole finder gives the same minimal family on both
+        backends: the native kernel combines per-digit moves at every
+        digit-subset size, the reference searches the blanked board."""
         if "native" not in backends:
             pytest.skip("single backend")
         grid = random_solution_grid(shape, random.Random(seed))

@@ -1,8 +1,14 @@
 import pytest
+from test_cli import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minclue.checker import DEFAULT_CLIQUE_CAPS, SearchConfig, baseline_config
+from minclue.checker import (
+    CHECKER_VERSION,
+    DEFAULT_CLIQUE_CAPS,
+    SearchConfig,
+    baseline_config,
+)
 from minclue.config import (
     build_search_config,
     config_digest,
@@ -108,6 +114,25 @@ class TestRoundTrip:
             SearchConfig(family_cap=3),
             7,
         )
+
+    def test_other_version_refused(self, tmp_path):
+        """A version-1 run header is refused with exit code 2 (under version
+        1, selection=auto:64:5 meant a window of 64 leading slots); a
+        current header still replays."""
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        old = tmp_path / "old.cfg"
+        old.write_text("# version=1\n# k=4\n# selection=auto:64:5\n")
+        code, _, err = run_cli(["search", str(grids), "--k", "4", "--config", str(old)])
+        assert code == 2
+        assert "version 1" in err and f"version {CHECKER_VERSION}" in err
+        with pytest.raises(ValueError, match="version 1"):
+            build_search_config({"version": "1"})
+        current = tmp_path / "current.cfg"
+        current.write_text("\n".join(config_header_lines(SearchConfig(family_cap=3), 4)))
+        code, out, _ = run_cli(["search", str(grids), "--k", "4", "--config", str(current)])
+        assert code == 0 and "# family_cap=3" in out
+        assert round_trip(SearchConfig(family_cap=3), 4) == (SearchConfig(family_cap=3), 4)
 
     def test_unknown_key_refused(self):
         with pytest.raises(ValueError):

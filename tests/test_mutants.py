@@ -25,6 +25,7 @@ HIT = "tests/test_hitting.py::"
 BACK = "tests/test_backends.py::"
 UNAV = "tests/test_unavoidable.py::"
 SOLVE = "tests/test_solver.py::"
+FINDER4 = UNAV + "TestFinderCompleteness4x4::"
 
 # name: (search, replace, tests that must fail)
 MUTANTS = {
@@ -96,10 +97,31 @@ MUTANTS = {
         [BACK + "TestConfirm::test_invalid_grid_is_refused",
          BACK + "TestDiffParity::test_bad_solution_raises"],
     ),
-    "rect_rec lets two digits fill one cell": (
-        "if ((filled[w] & sw->fill[w]) || (f[w] & p[w] & ~v[w]))",
+    "combine lets two digits fill one cell": (
+        "if ((filled[w] & m->fill[w]) || (f[w] & p[w] & ~v[w]))",
         "if (f[w] & p[w] & ~v[w])",
         [UNAV + "TestNineByNine::test_pinned_families"],
+    ),
+    "combine ignores max_diff": (
+        "int ok = m->size + later <= room;",
+        "int ok = 1;",
+        [BACK + "TestDiffParity::test_same_difference_masks",
+         FINDER4 + "test_family_equals_oracle_on_every_representative"],
+    ),
+    "the move walk skips the box check": (
+        "if (c == c0 || (cols >> c & 1) || (boxes >> box & 1)",
+        "if (c == c0 || (cols >> c & 1)",
+        [BACK + "TestDiffParity::test_same_difference_masks",
+         FINDER4 + "test_family_equals_oracle_on_every_representative",
+         FINDER4 + "test_structural_lemmas_hold"],
+    ),
+    "the move walk fills a cell that is not blank": (
+        "if (c == c0 || (cols >> c & 1) || (boxes >> box & 1)\n"
+        "            || !mask_bit(wk->blank[0], wk->blank[1], cell))",
+        "if (c == c0 || (cols >> c & 1) || (boxes >> box & 1))",
+        [BACK + "TestDiffParity::test_same_difference_masks",
+         FINDER4 + "test_family_equals_oracle_on_every_representative",
+         FINDER4 + "test_structural_lemmas_hold"],
     ),
 }
 
