@@ -824,7 +824,7 @@ typedef struct {
     u64 dead_lo[MAX_K + 1];
     u64 dead_hi[MAX_K + 1];
     int hitset[MAX_K];
-    const int *counts;
+    int full_through;  /* levels below it select by effective size */
     mc_emit_fn emit;
     u8 *batch;         /* emitted candidates not yet passed to emit */
     int batch_len;     /* bytes used in batch */
@@ -942,13 +942,13 @@ static void consolidate_degree(Engine *eng, DegState *st, int level)
 
 /* Index of the degree-1 set to draw from, or -1 to cut the branch.  The
  * unhit slots are the set bits of the state row's complement, taken a word
- * at a time in slot order.  The scan takes min effective size (live cells)
- * over the first unhit sets, as many as the level's count; ties go to the
- * lower slot, and a set with no live cell ends the scan and cuts the
- * branch.  With a count of 0 it takes the first unhit slot.  Slots past m
- * in the last word read as unhit, so the scan also stops at the first
- * unhit slot at or past m; a node selects only while some set is unhit,
- * so by then it has looked at one. */
+ * at a time in slot order.  Below full_through the scan takes min
+ * effective size (live cells) over all unhit sets; ties go to the lower
+ * slot, and a set with no live cell ends the scan and cuts the branch.
+ * Deeper levels take the first unhit slot.  Slots past m in the last word
+ * read as unhit, so the scan also stops at the first unhit slot at or past
+ * m; a node selects only while some set is unhit, so by then it has looked
+ * at one. */
 static int select_slot(Engine *eng, int level)
 {
     DegState *st = eng->deg1;
@@ -956,15 +956,15 @@ static int select_slot(Engine *eng, int level)
     int cons = consolidated_post(st, level);
     int m = cons ? st->m_cons : st->m_orig;
     const u64 *masks = cons ? st->masks_cons : st->masks_orig;
-    int count = eng->counts[level];
+    int scan = level < eng->full_through;
     u64 alive_lo = ~eng->dead_lo[level], alive_hi = ~eng->dead_hi[level];
-    int best = -1, best_eff = 1 << 30, seen = 0;
+    int best = -1, best_eff = 1 << 30;
     for (int w = 0; (w << 6) < m; ++w) {
         u64 unhit = ~sv[w];
         while (unhit) {
             int i = (w << 6) + low_index64(unhit), eff;
             unhit &= unhit - 1;
-            if (i >= m || seen == count) /* best_eff > 0 here */
+            if (i >= m || !scan) /* best_eff > 0 here */
                 return best >= 0 ? best : i;
             eff = popcount64(masks[i * 2] & alive_lo)
                   + popcount64(masks[i * 2 + 1] & alive_hi);
@@ -976,7 +976,6 @@ static int select_slot(Engine *eng, int level)
                     return -1;
                 }
             }
-            seen += 1;
         }
     }
     return best;
@@ -1181,8 +1180,8 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
  * sizes[di] masks of 16 little-endian bytes each (cells 0..63, then
  * 64..127), concatenated over all degrees in `masks`; check_levels[di] or
- * -1; triggers[di] or -1 with caps[di].  Per level below k: counts, the
- * selection count (see select_slot).  Candidates go to emit in batches, k
+ * -1; triggers[di] or -1 with caps[di].  Levels below full_through select
+ * by effective size (see select_slot).  Candidates go to emit in batches, k
  * ascending cell bytes each: `batch` candidates per call, the rest in one
  * last call (none when nothing is left).  On return stats
  * holds nodes, emitted, selection_cuts, consolidations and then the cut
@@ -1193,7 +1192,7 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
                    const int *sizes, const u8 *masks,
                    const int *check_levels, const int *triggers,
-                   const int *caps, const int *counts,
+                   const int *caps, int full_through,
                    mc_emit_fn emit, int batch,
                    long long *stats, u8 *cut_levels)
 {
@@ -1217,7 +1216,7 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     eng->universe = universe;
     eng->k = k;
     eng->ndeg = ndeg;
-    eng->counts = counts;
+    eng->full_through = full_through;
     eng->emit = emit;
     memset(cut_levels, 0, (size_t)ndeg * (k + 1));
     for (int di = 0; di < ndeg && status == MC_OK; ++di) {

@@ -66,7 +66,7 @@ def _open_library() -> ctypes.CDLL:
     int_array = POINTER(c_int)
     lib.mc_run_hitting.argtypes = (
         c_int, c_int, c_int, int_array, int_array, c_char_p,
-        int_array, int_array, int_array, int_array, _EMIT, c_int,
+        int_array, int_array, int_array, c_int, _EMIT, c_int,
         POINTER(c_longlong), c_char_p,
     )
     lib.mc_run_hitting.restype = c_int
@@ -220,7 +220,7 @@ def cliques(masks, degree: int, start: int, cap: int):
 
 
 def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
-                consolidations, counts, emit, batch: int):
+                consolidations, full_through: int, emit, batch: int):
     """Positional twin of the reference engine; see _pykernels.run_hitting
     for the argument contract.  The C side fills each batch and `emit`
     receives it as one bytes object."""
@@ -240,7 +240,7 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         _c_ints(check_levels.get(d, -1) for d in degrees),
         _c_ints(trigger for trigger, _cap in entries),
         _c_ints(cap for _trigger, cap in entries),
-        _c_ints(counts[level] for level in range(k)),
+        _c_int(full_through),
         callback,
         _c_int(batch),
         counters,

@@ -632,7 +632,7 @@ def run_hitting(
     masks_by_degree,
     check_levels,
     consolidations,
-    counts,
+    full_through,
     emit,
     batch,
 ):
@@ -646,11 +646,10 @@ def run_hitting(
     masks_by_degree   per degree, list of cell masks (ints)
     check_levels      per degree, level at which to test all-hit (or -1)
     consolidations    per degree, (trigger_level, cap) or None
-    counts            per level 0..k-1, how many unhit degree-1 sets to
-                      look at: draw from the one of fewest live cells
-                      among the first `count` (ties to the lower slot; one
-                      with no live cell cuts the branch); with a count of
-                      0, draw from the first unhit set
+    full_through      levels below it draw from the unhit degree-1 set
+                      of fewest live cells (ties to the lower slot; one
+                      with no live cell cuts the branch); deeper levels
+                      draw from the first unhit set
     emit              callable receiving the hitting sets in batches: one
                       bytes object of whole sets, k ascending cell bytes
                       each, in emission order; must not re-enter the engine
@@ -726,16 +725,14 @@ def run_hitting(
     def select(level: int) -> int:
         """Index of the degree-1 set to draw from, or -1 to cut."""
         sv = statevec[1][level]
-        count = counts[level]
         alive = alive_universe & ~deadvec[level]
         best = -1
         best_eff = 1 << 30
-        seen = 0
         for i in range(deg1.m):
             if (sv >> i) & 1:
                 continue
-            if seen == count:
-                return best if best >= 0 else i
+            if level >= full_through:
+                return i
             eff = (deg1.masks[i] & alive).bit_count()
             if eff < best_eff:
                 best_eff = eff
@@ -743,7 +740,6 @@ def run_hitting(
                 if eff == 0:
                     stats["selection_cuts"] += 1
                     return -1
-            seen += 1
         return best
 
     def take(cells) -> None:

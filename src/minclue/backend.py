@@ -44,12 +44,3 @@ kernels = _load()
 
 def backend_name() -> str:
     return kernels.BACKEND_NAME
-
-
-def available_backends() -> dict:
-    """Importable backends by name; used by tests."""
-    out = {"python": _pykernels}
-    native, _error = _import_native()
-    if native is not None:
-        out["native"] = native
-    return out

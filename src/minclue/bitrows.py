@@ -36,19 +36,6 @@ def con8_table() -> list:
     return [con8(m, b) for m in range(256) for b in range(256)]
 
 
-def row_tuple_to_int(slots) -> int:
-    """(b1, b2, ...) with slot 1 first -> int with slot 1 at bit 0."""
-    value = 0
-    for i, b in enumerate(slots):
-        if b:
-            value |= 1 << i
-    return value
-
-
-def int_to_row_tuple(value: int, width: int) -> tuple:
-    return tuple((value >> i) & 1 for i in range(width))
-
-
 def bits_ascending(mask: int):
     """Yield set bit positions of `mask` in ascending order."""
     while mask:

@@ -40,7 +40,6 @@ from .grid import CellSet, Grid, GridShape, parse_grid
 from .hitting import (
     EngineConfig,
     HittingInstance,
-    SelectionSchedule,
     enumerate_hitting_sets,
 )
 from .solver import count_completions, verify_two_completions
@@ -53,7 +52,7 @@ from .unavoidable import (
 
 logger = logging.getLogger(__name__)
 
-CHECKER_VERSION = "2"
+CHECKER_VERSION = "3"
 
 _DEFAULT_MAX_SET_SIZE = {16: 8, 36: 10, 81: 12}
 DEFAULT_CLIQUE_CAPS = {2: 8192, 3: 16384, 4: 32768, 5: 32768, 6: 16384}
@@ -103,12 +102,9 @@ def baseline_config() -> SearchConfig:
     """The unimproved engine: the dead-cell rule only.  No cliques, so no
     degree checks; no consolidation; first-unhit selection at every level
     (the config-file form is `clique_degrees=`, `consolidate.D=off` for
-    each default degree D and `selection=0:0:0`)."""
+    each default degree D and `selection=0`)."""
     return SearchConfig(
-        clique_degrees=(),
-        engine=EngineConfig(
-            consolidation={}, selection=SelectionSchedule(0, 0, 0)
-        ),
+        clique_degrees=(), engine=EngineConfig(consolidation={}, full_through=0)
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from .checker import CHECKER_VERSION, SearchConfig
-from .hitting import DEFAULT_CONSOLIDATION, SelectionSchedule
+from .hitting import DEFAULT_CONSOLIDATION
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
@@ -49,7 +49,7 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
     consolidation = dict(engine.consolidation)
     clique_degrees = config.clique_degrees
     clique_caps = dict(config.clique_caps)
-    selection = engine.selection
+    full_through = engine.full_through
 
     for key, value in pairs.items():
         if key == "k":
@@ -78,14 +78,17 @@ def build_search_config(pairs: Dict[str, str]) -> Tuple[SearchConfig, Optional[i
                 trigger, cap = value.split(":")
                 consolidation[degree] = (int(trigger), int(cap))
         elif key == "selection":
-            full, wide, short = value.split(":")
-            selection = SelectionSchedule(
-                None if full == "auto" else int(full), int(wide), int(short)
-            )
+            if ":" in value:
+                raise ValueError(
+                    f"selection={value} is refused: selection takes one value,"
+                    " auto or the number of levels that scan every unhit set;"
+                    " the F:W:S form and its two scan counts are gone"
+                )
+            full_through = None if value == "auto" else int(value)
         else:
             raise ValueError(f"unknown configuration key {key!r}")
 
-    engine = replace(engine, consolidation=consolidation, selection=selection)
+    engine = replace(engine, consolidation=consolidation, full_through=full_through)
     # the degrees go in with the caps: a degree above the defaults is
     # valid only once its cap is known
     config = replace(
@@ -121,13 +124,8 @@ def _config_pairs(config: SearchConfig) -> List[Tuple[str, object]]:
             pairs.append((f"consolidate.{d}", f"{trigger}:{cap}"))
         else:
             pairs.append((f"consolidate.{d}", "off"))
-    sel = eng.selection
     pairs.append(
-        (
-            "selection",
-            f"{'auto' if sel.full_through is None else sel.full_through}"
-            f":{sel.wide_count}:{sel.short_count}",
-        )
+        ("selection", "auto" if eng.full_through is None else eng.full_through)
     )
     return pairs
 

@@ -77,16 +77,6 @@ SHAPE_9X9 = GridShape(3, 3)
 _SHAPE_BY_LENGTH = {16: SHAPE_4X4, 36: SHAPE_6X6, 81: SHAPE_9X9}
 
 
-def cell_row(shape: GridShape, c: int) -> int:
-    _check_cell(shape, c)
-    return c // shape.side
-
-
-def cell_col(shape: GridShape, c: int) -> int:
-    _check_cell(shape, c)
-    return c % shape.side
-
-
 def cell_box(shape: GridShape, c: int) -> int:
     """Box index: boxes are numbered row-major over the box grid."""
     _check_cell(shape, c)

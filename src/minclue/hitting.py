@@ -9,17 +9,15 @@ set come out exactly once.  The engine hands its sink the hitting sets in
 batches of EMIT_BATCH whole sets, as bytes; `per_candidate` adapts a
 callable that takes one set at a time.
 
-At each level the engine draws from one rule with one bound, a count:
-the unhit degree-1 set of fewest live cells among the first count unhit
-sets, or the first unhit set when the count is 0.  A set with no live
-cell cuts the branch.
+Levels below `full_through` draw from the unhit degree-1 set of fewest
+live cells over all unhit sets; a set with no live cell cuts the branch.
+Deeper levels draw from the first unhit set.
 
 Each of the speed-ups over plain backtracking is turned off by its own
 setting: the degree checks by an instance with no family above degree 1,
 consolidation by `EngineConfig(consolidation={})`, and effective-size
-selection by `SelectionSchedule(0, 0, 0)`, whose counts look at no set,
-so every level draws from the first unhit one.  `checker.baseline_config`
-sets all three.
+selection by `EngineConfig(full_through=0)`, so that every level draws
+from the first unhit set.  `checker.baseline_config` sets all three.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .backend import kernels
 from .errors import BudgetExceededError
@@ -68,46 +66,8 @@ class HittingInstance:
             clean[degree] = masks
         object.__setattr__(self, "families", clean)
 
-    @classmethod
-    def from_sets(
-        cls, universe_size: int, k: int, families: Mapping[int, Sequence]
-    ) -> "HittingInstance":
-        as_masks = {}
-        for degree, sets in families.items():
-            masks = []
-            for s in sets:
-                mask = 0
-                for c in s:
-                    mask |= 1 << c
-                masks.append(mask)
-            as_masks[degree] = tuple(masks)
-        return cls(universe_size, k, as_masks)
-
     def degree_one(self) -> Tuple[int, ...]:
         return self.families.get(1, ())
-
-
-@dataclass(frozen=True)
-class SelectionSchedule:
-    """Which degree-1 set to draw from, by clue position t (1-based), as
-    the count of unhit sets each level looks at: minimum effective size
-    over all unhit sets through t = full_through, then over the first
-    wide_count unhit sets, then over the first short_count, then simply
-    the first unhit set (a count of 0).  A count of 0 looks at no set,
-    which draws from the first unhit one, so SelectionSchedule(0, 0, 0)
-    turns effective sizes off.
-
-    full_through = None derives the default k - 6 at resolve time, placing
-    the two bounded scans at k - 5 and k - 4.
-    """
-
-    full_through: Optional[int] = None
-    wide_count: int = 64
-    short_count: int = 5
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.wide_count <= INT_MAX and 0 <= self.short_count <= INT_MAX):
-            raise ValueError(f"selection counts must be in 0..{INT_MAX}")
 
 
 DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
@@ -122,15 +82,16 @@ DEFAULT_CONSOLIDATION: Mapping[int, Tuple[int, int]] = {
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Consolidation (trigger level, cap) per degree, {} for none, and the
-    selection schedule: the two keys of the configuration file that the
-    engine reads.  The higher-degree checks need no setting: they follow
-    from the instance's families above degree 1."""
+    """Consolidation (trigger level, cap) per degree, {} for none, and
+    full_through, the number of levels that select by effective size (None
+    for k - 6): the two keys of the configuration file that the engine
+    reads.  The higher-degree checks need no setting: they follow from the
+    instance's families above degree 1."""
 
     consolidation: Mapping[int, Tuple[int, int]] = field(
         default_factory=lambda: dict(DEFAULT_CONSOLIDATION)
     )
-    selection: SelectionSchedule = SelectionSchedule()
+    full_through: Optional[int] = None
 
     def __post_init__(self) -> None:
         for trigger, cap in self.consolidation.values():
@@ -148,10 +109,9 @@ def check_level(k: int, degree: int) -> int:
 
 def resolve_plan(instance: HittingInstance, config: EngineConfig):
     """Flatten instance + config into the positional kernel arguments;
-    the last is the selection count of each level below k, with INT_MAX
-    for a full scan.  A consolidation whose cap keeps the whole family
-    is left out: it would only renumber the sets, and nothing reads their
-    numbers."""
+    the last is full_through, clamped to 0..k.  A consolidation whose cap
+    keeps the whole family is left out: it would only renumber the sets,
+    and nothing reads their numbers."""
     k = instance.k
     degrees = sorted(instance.families)
     masks_by_degree = [list(instance.families[d]) for d in degrees]
@@ -169,21 +129,7 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
             continue  # the degree is checked once, earlier consolidation only
         consolidations[d] = (trigger, cap)
 
-    selection = config.selection
-    full_through = selection.full_through
-    if full_through is None:
-        full_through = k - 6
-    counts: List[int] = []
-    for t in range(1, k + 1):
-        if t <= full_through:
-            counts.append(INT_MAX)
-        elif t == full_through + 1:
-            counts.append(selection.wide_count)
-        elif t == full_through + 2:
-            counts.append(selection.short_count)
-        else:
-            counts.append(0)
-
+    full_through = k - 6 if config.full_through is None else config.full_through
     return (
         instance.universe_size,
         k,
@@ -191,7 +137,7 @@ def resolve_plan(instance: HittingInstance, config: EngineConfig):
         masks_by_degree,
         check_levels,
         consolidations,
-        counts,
+        min(max(full_through, 0), k),
     )
 
 

@@ -16,6 +16,7 @@ import hashlib
 import logging
 import os
 import time
+from contextlib import suppress
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -192,6 +193,13 @@ def run_farm(
     if not output_path.exists() or output_path.stat().st_size == 0:
         with open(output_path, "w", encoding="ascii") as fh:
             fh.write("".join(line + "\n" for line in config_header_lines(config, k)))
+    else:
+        with open(output_path, "rb+") as fh:
+            # a crash may have torn the last line; the next frame starts on
+            # a line of its own
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
 
     done_before = len(cp.done)
     pending = [b for b in batches if b.batch_id not in cp.done]
@@ -284,8 +292,9 @@ def run_farm(
 # output merging
 
 def _parse_frames(text: str) -> List[Tuple[int, int, int, List[str]]]:
-    """Complete frames as (batch_id, start, end, report blocks); torn
-    trailing frames (from a crash mid-write) are dropped."""
+    """Complete frames as (batch_id, start, end, report blocks); a frame
+    torn by a crash mid-write is dropped, whether the tear is in its
+    header, a report line or its footer."""
     frames = []
     current: Optional[Tuple[int, int, int]] = None
     blocks: List[str] = []
@@ -299,14 +308,15 @@ def _parse_frames(text: str) -> List[Tuple[int, int, int, List[str]]]:
     for line in text.splitlines():
         if line.startswith("batch "):
             parts = line.split()
-            current = (int(parts[1]), int(parts[3]), int(parts[4]))
+            current = None  # a torn header opens no frame
+            if len(parts) == 5 and parts[2] == "range":
+                with suppress(ValueError):
+                    current = (int(parts[1]), int(parts[3]), int(parts[4]))
             blocks = []
             pending_block = []
         elif line.startswith("end batch "):
-            if current is None:
-                continue
-            close_block()
-            if int(line.split()[2]) == current[0]:
+            if current is not None and line.split()[2:] == [str(current[0])]:
+                close_block()
                 frames.append((*current, blocks))
             current = None
         elif current is not None:

@@ -6,9 +6,57 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minclue.backend import available_backends  # noqa: E402
-from minclue.grid import SHAPE_4X4, SHAPE_9X9, Grid, GridShape  # noqa: E402
+from minclue import _pykernels  # noqa: E402
+from minclue.backend import _import_native  # noqa: E402
+from minclue.grid import SHAPE_4X4, SHAPE_9X9, Grid, GridShape, _check_cell  # noqa: E402
+from minclue.hitting import HittingInstance  # noqa: E402
 from minclue.symmetry import representatives  # noqa: E402
+
+
+def available_backends() -> dict:
+    """Importable backends by name."""
+    out = {"python": _pykernels}
+    native, _error = _import_native()
+    if native is not None:
+        out["native"] = native
+    return out
+
+
+def instance_from_sets(universe_size: int, k: int, families) -> HittingInstance:
+    """A HittingInstance from families given as iterables of cells."""
+    as_masks = {}
+    for degree, sets in families.items():
+        masks = []
+        for s in sets:
+            mask = 0
+            for c in s:
+                mask |= 1 << c
+            masks.append(mask)
+        as_masks[degree] = tuple(masks)
+    return HittingInstance(universe_size, k, as_masks)
+
+
+def cell_row(shape: GridShape, c: int) -> int:
+    _check_cell(shape, c)
+    return c // shape.side
+
+
+def cell_col(shape: GridShape, c: int) -> int:
+    _check_cell(shape, c)
+    return c % shape.side
+
+
+def row_tuple_to_int(slots) -> int:
+    """(b1, b2, ...) with slot 1 first -> int with slot 1 at bit 0."""
+    value = 0
+    for i, b in enumerate(slots):
+        if b:
+            value |= 1 << i
+    return value
+
+
+def int_to_row_tuple(value: int, width: int) -> tuple:
+    return tuple((value >> i) & 1 for i in range(width))
 
 
 def random_solution_grid(shape: GridShape, rng: random.Random) -> Grid:
@@ -30,8 +78,6 @@ def without_speed_ups(instance, config, degree_checks=False,
     family above degree 1, no consolidation, first-unhit selection."""
     from dataclasses import replace
 
-    from minclue.hitting import HittingInstance, SelectionSchedule
-
     if not degree_checks:
         instance = HittingInstance(
             instance.universe_size, instance.k, {1: instance.degree_one()}
@@ -39,7 +85,7 @@ def without_speed_ups(instance, config, degree_checks=False,
     if not consolidation:
         config = replace(config, consolidation={})
     if not effective_size:
-        config = replace(config, selection=SelectionSchedule(0, 0, 0))
+        config = replace(config, full_through=0)
     return instance, config
 
 

@@ -12,8 +12,17 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import clue_cells, random_solution_grid, without_speed_ups
-from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
+from conftest import (
+    cell_col,
+    cell_row,
+    clue_cells,
+    instance_from_sets,
+    int_to_row_tuple,
+    random_solution_grid,
+    row_tuple_to_int,
+    without_speed_ups,
+)
+from minclue.bitrows import con8, con8_table
 from minclue.checker import search_grid
 from minclue.grid import (
     SHAPE_4X4,
@@ -21,15 +30,11 @@ from minclue.grid import (
     SHAPE_9X9,
     CellSet,
     cell_box,
-    cell_col,
-    cell_row,
     format_grid,
     parse_grid,
 )
 from minclue.hitting import (
     EngineConfig,
-    HittingInstance,
-    SelectionSchedule,
     brute_force_hitting_sets,
     enumerate_hitting_sets,
     per_candidate,
@@ -112,13 +117,13 @@ class TestCriterion3HittingOracle:
             ][:8]
             if disjoint_pairs and rng.random() < 0.6:
                 families[2] = disjoint_pairs
-            full = HittingInstance.from_sets(universe, k, families)
+            full = instance_from_sets(universe, k, families)
             oracle = brute_force_hitting_sets(full)
             if len(oracle) > 4000:
                 continue
             config = EngineConfig(
                 consolidation={1: (max(1, k - 1), 64), 2: (1, 64)},
-                selection=SelectionSchedule(full_through=max(0, k - 2)),
+                full_through=max(0, k - 2),
             )
             # each speed-up on, or off by its own setting
             for flags in product((True, False), repeat=3):
@@ -136,7 +141,7 @@ class TestCriterion3HittingOracle:
 class TestCriterion4WorkedInstance:
     def test_exactly_seven_hitting_sets(self):
         started = time.perf_counter()
-        instance = HittingInstance.from_sets(
+        instance = instance_from_sets(
             81, 2, {1: [{0, 3, 9, 12}, {0, 1, 27, 28}, {3, 4, 66, 67}]}
         )
         got = []

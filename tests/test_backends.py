@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import clue_cells, random_solution_grid
+from conftest import clue_cells, instance_from_sets, random_solution_grid
 from test_unavoidable import oracle_cliques
 from minclue import _pykernels, checker, hitting, unavoidable
 from minclue._pykernels import CONFIRM_AMBIGUOUS, CONFIRM_PROPER, CONFIRM_UNSAFE
@@ -106,7 +106,7 @@ class TestSinkExceptions:
     def test_engine_sink_error_reaches_the_caller(self, backends):
         """Nine candidates of two cells: the third batch is a full one for
         batches of 1 and 2, and the last, short one for batches of 4."""
-        instance = HittingInstance.from_sets(20, 2, {1: [{0, 1, 2}, {3, 4, 5}]})
+        instance = instance_from_sets(20, 2, {1: [{0, 1, 2}, {3, 4, 5}]})
         plan = resolve_plan(instance, EngineConfig())
         for name, kern in backends.items():
             for batch, last in ((1, 2), (2, 4), (4, 2)):

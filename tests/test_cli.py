@@ -220,7 +220,7 @@ class TestSearchCli:
         code, out, _ = run_cli(["search", str(path), "--k", "4"])
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "# version=2"
+        assert lines[0] == "# version=3"
         body = [ln for ln in lines if not ln.startswith("#")]
         fields = body[0].split("\t")
         assert fields[0] == "1234341221434321"

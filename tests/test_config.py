@@ -15,7 +15,7 @@ from minclue.config import (
     config_header_lines,
     parse_config_text,
 )
-from minclue.hitting import EngineConfig, SelectionSchedule
+from minclue.hitting import EngineConfig
 
 degrees = st.integers(1, 8)
 small = st.integers(0, 10**6)
@@ -34,11 +34,7 @@ def search_configs(draw):
         )
         if consolidating
         else {},
-        selection=SelectionSchedule(
-            draw(st.none() | st.integers(-5, 30)), draw(small), draw(small)
-        )
-        if effective_size
-        else SelectionSchedule(0, 0, 0),
+        full_through=draw(st.none() | st.integers(-5, 30)) if effective_size else 0,
     )
     clique_degrees = (
         tuple(draw(st.lists(st.integers(2, 8), max_size=6))) if degree_checks else ()
@@ -99,6 +95,7 @@ class TestRoundTrip:
             ({"consolidate.1": "2147483648:8"}, "triggers and caps"),
             ({"selection": "auto:-1:5"}, "counts"),
             ({"selection": "auto:3000000000:5"}, "counts"),
+            ({"selection": "auto:64:5"}, "one value, auto or the number of levels"),
         ],
     )
     def test_values_no_grid_can_use_refused(self, pairs, message):
@@ -116,18 +113,20 @@ class TestRoundTrip:
         )
 
     def test_other_version_refused(self, tmp_path):
-        """A version-1 run header is refused with exit code 2 (under version
-        1, selection=auto:64:5 meant a window of 64 leading slots); a
-        current header still replays."""
+        """Version-1 and version-2 run headers are refused with exit code 2
+        (under version 1, selection=auto:64:5 meant a window of 64 leading
+        slots, under version 2 scans of 64 and 5 unhit sets); a current
+        header still replays."""
         grids = tmp_path / "grids.txt"
         grids.write_text("1234341221434321\n")
         old = tmp_path / "old.cfg"
-        old.write_text("# version=1\n# k=4\n# selection=auto:64:5\n")
-        code, _, err = run_cli(["search", str(grids), "--k", "4", "--config", str(old)])
-        assert code == 2
-        assert "version 1" in err and f"version {CHECKER_VERSION}" in err
-        with pytest.raises(ValueError, match="version 1"):
-            build_search_config({"version": "1"})
+        for version in ("1", "2"):
+            old.write_text(f"# version={version}\n# k=4\n# selection=auto:64:5\n")
+            code, _, err = run_cli(["search", str(grids), "--k", "4", "--config", str(old)])
+            assert code == 2
+            assert f"version {version}" in err and f"version {CHECKER_VERSION}" in err
+            with pytest.raises(ValueError, match=f"version {version}"):
+                build_search_config({"version": version})
         current = tmp_path / "current.cfg"
         current.write_text("\n".join(config_header_lines(SearchConfig(family_cap=3), 4)))
         code, out, _ = run_cli(["search", str(grids), "--k", "4", "--config", str(current)])
@@ -143,7 +142,7 @@ class TestRoundTrip:
         text = (
             "clique_degrees=\n"
             + "".join(f"consolidate.{d}=off\n" for d in range(1, 7))
-            + "selection=0:0:0\n"
+            + "selection=0\n"
         )
         assert build_search_config(parse_config_text(text)) == (baseline_config(), None)
 
@@ -162,8 +161,8 @@ class TestDigest:
         """The digests farm checkpoints store: a change to them stops every
         older checkpoint from resuming."""
         assert config_digest(SearchConfig()) == (
-            "6bfacf5af71c577380bd00bfb1c982e59f7370d16217e56b7c87e6598f202f4a"
+            "b97adb43d4b373aff96a9383c690c1a45ec70da16f670cfb1fa980a22a79bce2"
         )
         assert config_digest(baseline_config()) == (
-            "f58d7afa3e6361938bd242680a05ef82ed09222dc2c3518375ba142865a5ef68"
+            "7b1952daac9b9d7f77155a3e4cd6ed361165b4bdd1e736ac28280f6746141730"
         )

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import cell_col, cell_row
 from minclue.errors import (
     BadCharacterError,
     InconsistentCluesError,
@@ -15,8 +16,6 @@ from minclue.grid import (
     CellSet,
     GridShape,
     cell_box,
-    cell_col,
-    cell_row,
     format_grid,
     parse_clue_cells,
     parse_grid,

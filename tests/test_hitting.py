@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import without_speed_ups
-from minclue.bitrows import con8, con8_table, int_to_row_tuple, row_tuple_to_int
+from conftest import instance_from_sets, int_to_row_tuple, row_tuple_to_int, without_speed_ups
+from minclue.bitrows import con8, con8_table
 from minclue import hitting
 from minclue._pykernels import INT_MAX
 from minclue.errors import BudgetExceededError
 from minclue.hitting import (
     EngineConfig,
     HittingInstance,
-    SelectionSchedule,
     brute_force_hitting_sets,
     check_level,
     enumerate_hitting_sets,
@@ -29,7 +28,7 @@ WORKED_FAMILY = [{0, 3, 9, 12}, {0, 1, 27, 28}, {3, 4, 66, 67}]
 
 
 def make_instance(universe, k, families):
-    return HittingInstance.from_sets(universe, k, families)
+    return instance_from_sets(universe, k, families)
 
 
 def run(instance, config=EngineConfig(), stats=None):
@@ -237,44 +236,65 @@ class TestConsolidate:
 class TestEffectiveSizeAndSelection:
     # sorted by size: A = {0, 1}, then B = {2, 3, 4} before C = {0, 5, 6}.
     # Drawing 1 from A kills cell 0, leaving C two live cells to B's three.
+    # Level 1 decides: full_through 2 scans it, 1 takes the first unhit set.
     SETS = [{0, 1}, {2, 3, 4}, {0, 5, 6}]
-    FULL = EngineConfig(selection=SelectionSchedule(full_through=3))
 
     def test_selection_counts_live_cells(self, backends):
         """Selection counts only live cells: under cell 1 it draws from C."""
         instance = make_instance(10, 3, {1: self.SETS})
-        got, stats = run_each_backend(backends, instance, self.FULL)
+        got, stats = run_each_backend(backends, instance, EngineConfig(full_through=2))
         assert sorted(got) == brute_force_hitting_sets(instance)
         assert got[-6:] == [(1, 2, 5), (1, 3, 5), (1, 4, 5),
                             (1, 2, 6), (1, 3, 6), (1, 4, 6)]
         assert stats["selection_cuts"] == 0
 
     def test_first_unhit_reproduces_baseline(self, backends):
-        """Without effective sizes the engine draws from the first unhit
-        set: under cell 1 that is B, whatever C's live cells."""
+        """From level full_through on, the engine draws from the first
+        unhit set: under cell 1 that is B, whatever C's live cells."""
         instance = make_instance(10, 3, {1: self.SETS})
-        config = EngineConfig(selection=SelectionSchedule(0, 0, 0))
-        got, stats = run_each_backend(backends, instance, config)
-        assert sorted(got) == brute_force_hitting_sets(instance)
-        assert got[-6:] == [(1, 2, 5), (1, 2, 6), (1, 3, 5),
-                            (1, 3, 6), (1, 4, 5), (1, 4, 6)]
-        # the worked family: A is drawn first, then C, the first set 0 misses
-        worked = make_instance(81, 2, {1: WORKED_FAMILY})
-        assert run_each_backend(backends, worked, config)[0][0] == (0, 3)
+        for full_through in (1, 0):
+            config = EngineConfig(full_through=full_through)
+            got, stats = run_each_backend(backends, instance, config)
+            assert sorted(got) == brute_force_hitting_sets(instance)
+            assert got[-6:] == [(1, 2, 5), (1, 2, 6), (1, 3, 5),
+                                (1, 3, 6), (1, 4, 5), (1, 4, 6)]
+            # the worked family: A is drawn first, then C, the first set 0 misses
+            worked = make_instance(81, 2, {1: WORKED_FAMILY})
+            assert run_each_backend(backends, worked, config)[0][0] == (0, 3)
 
     def test_fully_dead_selected_set_cuts(self, backends):
-        """Level 0 draws 1 from {0, 1}, level 1 draws 3 from {2, 3} (its
-        count of 1 looks at no further set, so not at {0, 2}), which leaves
-        {0, 2} unhit with both cells dead: the short scan at level 2
-        selects it and cuts."""
-        instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
-        config = EngineConfig(
-            selection=SelectionSchedule(full_through=1, wide_count=1, short_count=1)
-        )
-        got, stats = run_each_backend(backends, instance, config)
-        assert stats["selection_cuts"] == 1
-        assert sorted(got) == brute_force_hitting_sets(instance)
-        assert len(got) == len(set(got))
+        """An empty set sorts first and never has a live cell.  A scan at
+        the root selects it and cuts; first-unhit selection draws from it,
+        which has no cell to branch on, and counts no cut."""
+        instance = make_instance(6, 2, {1: [{0, 1}, set(), {2, 3}]})
+        for full_through, cuts in ((1, 1), (0, 0)):
+            got, stats = run_each_backend(
+                backends, instance, EngineConfig(full_through=full_through)
+            )
+            assert got == [] == brute_force_hitting_sets(instance)
+            assert stats["selection_cuts"] == cuts
+            assert stats["nodes"] == 1
+
+    @pytest.mark.parametrize("consolidating", [True, False])
+    def test_only_an_empty_set_cuts(self, backends, consolidating):
+        """With full scans through some level and first-unhit selection
+        below it, only an empty set cuts: a scanned set that lost its last
+        live cell at a level had fewer live cells there than the set drawn
+        from, so the scan would have drawn from it.  Random instances hold
+        no empty set."""
+        rng = random.Random(4242)
+        for trial in range(300):
+            instance = random_instance(rng, max_universe=20, max_k=5, max_sets=16)
+            oracle = brute_force_hitting_sets(instance)
+            consolidation = (
+                {1: (1, rng.randint(1, 8)), 2: (1, 4), 3: (1, 4)} if consolidating else {}
+            )
+            for full_through in range(instance.k + 1):
+                config = EngineConfig(consolidation=consolidation, full_through=full_through)
+                got, stats = run_each_backend(backends, instance, config)
+                assert stats["selection_cuts"] == 0, (trial, full_through)
+                if not consolidating:
+                    assert sorted(got) == oracle, (trial, full_through)
 
 
 class TestOracleEquivalence:
@@ -289,7 +309,7 @@ class TestOracleEquivalence:
                     2: (1, 64),
                     3: (1, 64),
                 },
-                selection=SelectionSchedule(full_through=full.k - 2),
+                full_through=full.k - 2,
             )
             for flags in product((True, False), repeat=3):
                 instance, switched = without_speed_ups(full, config, *flags)
@@ -333,13 +353,12 @@ class TestPinnedPlans:
 
     def test_default_plan(self):
         """Every default cap keeps these families whole, so no
-        consolidation is left; selection counts are INT_MAX for a full
-        scan and 0 for first-unhit."""
+        consolidation is left; full scans run through level k - 6 = 2."""
         assert hitting.resolve_plan(self.INSTANCE, EngineConfig()) == (
             20, 8, [1, 2, 3], [self.DEGREE_ONE, [1560, 2529], [1567]],
             {2: 7, 3: 6},
             {},
-            [INT_MAX, INT_MAX, 64, 5] + [0] * 4,
+            2,
         )
 
     def test_caps_below_the_family_size_stay(self):
@@ -355,33 +374,16 @@ class TestPinnedPlans:
         assert config.clique_degrees == ()
         instance = HittingInstance(20, 8, {1: self.INSTANCE.degree_one()})
         assert hitting.resolve_plan(instance, config.engine) == (
-            20, 8, [1], [self.DEGREE_ONE], {}, {}, [0] * 8,
+            20, 8, [1], [self.DEGREE_ONE], {}, {}, 0,
         )
 
-    def test_zero_widths_draw_from_the_first_unhit_set(self, backends):
-        """A count of 0 looks at no set, so its level draws from the first
-        unhit set.  A count of 1 draws from the same set but looks at it,
-        and cuts when it has no live cell: the two runs differ only in
-        selection cuts.  Under cells 1 and 3, {0, 2} is the first unhit set
-        and both its cells are dead."""
-        instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
-        plan = hitting.resolve_plan(instance, EngineConfig())
-        for kern in backends.values():
-            runs = []
-            for count in (0, 1):
-                calls = []
-                stats = kern.run_hitting(*plan[:6], [count] * 3, calls.append, 64)
-                runs.append((calls, stats))
-            (zero, zero_stats), (one, one_stats) = runs
-            assert zero == one
-            assert zero_stats["selection_cuts"] == 0 < one_stats["selection_cuts"]
-            assert dict(zero_stats, selection_cuts=0) == dict(one_stats, selection_cuts=0)
-
-    def test_negative_widths_refused(self):
-        for counts in ((-1, 5), (64, -1), (INT_MAX + 1, 5), (64, INT_MAX + 1)):
-            with pytest.raises(ValueError, match="counts"):
-                SelectionSchedule(None, *counts)
-        SelectionSchedule(None, INT_MAX, INT_MAX)
+    def test_full_through_clamped_to_zero_through_k(self):
+        """None is k - 6; any int is clamped to 0..k, so the native engine
+        takes a C int whatever the setting."""
+        for full_through, level in ((None, 2), (-3, 0), (0, 0), (5, 5),
+                                    (8, 8), (9, 8), (2**40, 8)):
+            config = EngineConfig(full_through=full_through)
+            assert hitting.resolve_plan(self.INSTANCE, config)[6] == level
 
     @pytest.mark.parametrize("entry", [(2**31, 8), (7, 2**31), (7, 2**32 + 1)])
     def test_trigger_or_cap_past_a_c_int_refused(self, entry):
@@ -580,7 +582,7 @@ class TestSkippedRebuilds:
 
     @pytest.mark.parametrize("name", ["python", "native"])
     def test_keeping_every_set_changes_nothing(self, backends, name):
-        """Random instances and per-level selection counts, each run by
+        """Random instances and full-scan depths, each run by
         hand with and without a consolidation of every degree whose cap
         keeps all its sets, at random triggers before the degree's check.
         Degree-d sets hold 3d to 4d cells: with sizes that close, dead
@@ -604,7 +606,7 @@ class TestSkippedRebuilds:
                 ]
             instance = make_instance(universe, k, families)
             plan = list(hitting.resolve_plan(instance, EngineConfig(consolidation={})))
-            plan[6] = [rng.choice((INT_MAX, 0, 1, 2, 5, 64)) for _ in range(k)]
+            plan[6] = rng.randint(0, k)  # full_through
             keep_all = {}
             for d, masks in instance.families.items():
                 last = k - 1 if d == 1 else check_level(k, d) - 1
@@ -669,8 +671,8 @@ class TestSkippedRebuilds:
         grid = parse_grid(PINNED_9X9[0])
         checker.search_grid(grid, 12, checker.SearchConfig(max_set_size=8))
         [stats] = runs
-        assert stats["nodes"] == 88678
-        assert stats["degree_cuts"] == {2: 1669, 3: 2883, 4: 2207, 5: 62051}
+        assert stats["nodes"] == 92670
+        assert stats["degree_cuts"] == {2: 1670, 3: 2497, 4: 1645, 5: 66283}
         assert stats["consolidations"] == 683
         assert stats["selection_cuts"] == 0
         assert stats["emitted"] == 3
@@ -759,7 +761,7 @@ class TestBackendParityOnEngine:
             128, 66, {1: singletons + [{64, 100}, {65, 101}], 2: [{100, 101}],
                       3: [{5, 70}]}
         )
-        checks_only = EngineConfig(consolidation={}, selection=SelectionSchedule(0, 0, 0))
+        checks_only = EngineConfig(consolidation={}, full_through=0)
         for config in (EngineConfig(), checks_only):
             stats = assert_engine_parity(
                 backends["python"], backends["native"], resolve_plan(instance, config)
@@ -829,12 +831,7 @@ def wide_instances(draw):
     if k >= 4:
         consolidation[2] = (draw(st.integers(1, k - 2)), draw(st.integers(1, 150)))
     config = EngineConfig(
-        consolidation=consolidation,
-        selection=SelectionSchedule(
-            full_through=draw(st.integers(0, k)),
-            wide_count=draw(st.integers(1, 80)),
-            short_count=draw(st.integers(1, 6)),
-        ),
+        consolidation=consolidation, full_through=draw(st.integers(0, k))
     )
     # degree checks and effective sizes on or off; consolidation stays on
     return without_speed_ups(

@@ -29,22 +29,16 @@ FINDER4 = UNAV + "TestFinderCompleteness4x4::"
 
 # name: (search, replace, tests that must fail)
 MUTANTS = {
-    "select_slot looks at count + 1 sets": (
-        "seen == count) /*",
-        "seen == count + 1) /*",
-        [HIT + "TestPinnedPlans::test_zero_widths_draw_from_the_first_unhit_set",
+    "select_slot scans one level past full_through": (
+        "int scan = level < eng->full_through;",
+        "int scan = level <= eng->full_through;",
+        [HIT + "TestEffectiveSizeAndSelection::test_first_unhit_reproduces_baseline",
          HIT + "TestEffectiveSizeAndSelection::test_fully_dead_selected_set_cuts"],
     ),
-    "select_slot bounds slots, not unhit sets": (
-        "if (i >= m || seen == count)",
-        "if (i >= m || i >= count)",
-        [HIT + "TestSkippedRebuilds::test_keeping_every_set_changes_nothing"],
-    ),
-    "select_slot ignores the count": (
-        "if (i >= m || seen == count)",
-        "if (i >= m)",
-        [HIT + "TestPinnedPlans::test_zero_widths_draw_from_the_first_unhit_set",
-         HIT + "TestEffectiveSizeAndSelection::test_first_unhit_reproduces_baseline",
+    "select_slot never scans": (
+        "int scan = level < eng->full_through;",
+        "int scan = 0;",
+        [HIT + "TestEffectiveSizeAndSelection::test_selection_counts_live_cells",
          HIT + "TestEffectiveSizeAndSelection::test_fully_dead_selected_set_cuts"],
     ),
     "consolidation keeps cap + 1 sets": (

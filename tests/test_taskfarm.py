@@ -32,6 +32,14 @@ def catalogue_50(tmp_path_factory):
     return path
 
 
+@pytest.fixture
+def catalogue_2(tmp_path):
+    """The two 4x4 representatives, one line each."""
+    path = tmp_path / "two.txt"
+    path.write_text("".join(format_grid(g) + "\n" for g in representatives(SHAPE_4X4)))
+    return path
+
+
 def farm_paths(tmp_path, tag):
     return tmp_path / f"{tag}.checkpoint", tmp_path / f"{tag}.out"
 
@@ -237,8 +245,43 @@ class TestRunFarm:
         merged = merge_outputs(out_path)
         assert len(merged) == 50
 
+    def test_resume_after_a_torn_line_merges(self, catalogue_2, tmp_path):
+        """A crash mid-line leaves no newline at the end of the output; the
+        resumed run starts its frame on a line of its own."""
+        clean_cp, clean_out = farm_paths(tmp_path, "clean")
+        run_farm(catalogue_2, 4, workers=1, batch_size=1,
+                 checkpoint_path=clean_cp, output_path=clean_out)
+        cp_path, out_path = farm_paths(tmp_path, "torn-line")
+        run_farm(catalogue_2, 4, workers=1, batch_size=1,
+                 checkpoint_path=cp_path, output_path=out_path, max_batches=1)
+        [pending] = {0, 1} - Checkpoint.load(cp_path).done
+        with open(out_path, "a") as fh:
+            fh.write(f"batch {pending} range {pending} {pending + 1}\n1234341")
+        run_farm(catalogue_2, 4, workers=1, batch_size=1,
+                 checkpoint_path=cp_path, output_path=out_path)
+        assert reports_as_multiset(merge_outputs(out_path)) == reports_as_multiset(
+            merge_outputs(clean_out)
+        )
+
 
 class TestMergeOutputs:
+    @pytest.mark.parametrize("tail", [
+        "batch {b} range {b} {e}\n1234341",
+        "batch {b} ran",
+        "batch {b} range {b} {e}\n{report}\nend batch ",
+        "batch {b} range {b} {e}\n{report}\nend bat",
+    ], ids=["in-a-report", "in-a-header", "before-the-footer-id", "in-a-footer"])
+    def test_torn_tail_is_dropped(self, catalogue_2, tmp_path, tail):
+        cp_path, out_path = farm_paths(tmp_path, "tail")
+        run_farm(catalogue_2, 4, workers=1, batch_size=1,
+                 checkpoint_path=cp_path, output_path=out_path, max_batches=1)
+        [done] = Checkpoint.load(cp_path).done
+        text = out_path.read_text()
+        report = text.split(f"range {done} {done + 1}\n")[1].split("\nend batch")[0]
+        clean = merge_outputs(out_path)
+        out_path.write_text(text + tail.format(b=1 - done, e=2 - done, report=report))
+        assert merge_outputs(out_path) == clean
+
     def test_duplicate_identical_records_collapse(self, catalogue_50, tmp_path):
         cp_path, out_path = farm_paths(tmp_path, "dup")
         run_farm(catalogue_50, 4, workers=1, batch_size=25,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_count, clue_cells, random_solution_grid
+from conftest import brute_force_count, cell_col, cell_row, clue_cells, random_solution_grid
 from test_acceptance import PINNED_9X9
 from minclue import unavoidable
 from minclue.checker import SearchConfig
@@ -18,8 +18,6 @@ from minclue.grid import (
     CellSet,
     Grid,
     cell_box,
-    cell_col,
-    cell_row,
     parse_grid,
 )
 from minclue.solver import count_completions
