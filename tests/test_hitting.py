@@ -385,6 +385,22 @@ class TestPinnedPlans:
             config = EngineConfig(full_through=full_through)
             assert hitting.resolve_plan(self.INSTANCE, config)[6] == level
 
+    def test_zero_widths_draw_from_the_first_unhit_set(self, backends):
+        """full_through 0 scans no level, so every level draws from the
+        first unhit set.  Under cells 1 and 3, {0, 2} is the first unhit set
+        and both its cells are dead: the node has no cell to branch on and
+        counts no selection cut.  Scans through level 2 draw from {0, 2}
+        under cell 1 already and never reach that node."""
+        instance = make_instance(6, 3, {1: [{0, 1}, {2, 3}, {0, 2}]})
+        (first, first_stats), (scan, scan_stats) = (
+            run_each_backend(backends, instance, EngineConfig(full_through=full_through))
+            for full_through in (0, 2)
+        )
+        assert hitting.resolve_plan(instance, EngineConfig(full_through=0))[6] == 0
+        assert sorted(first) == sorted(scan) == brute_force_hitting_sets(instance)
+        assert first_stats["selection_cuts"] == scan_stats["selection_cuts"] == 0
+        assert first_stats["nodes"] == scan_stats["nodes"] + 1
+
     @pytest.mark.parametrize("entry", [(2**31, 8), (7, 2**31), (7, 2**32 + 1)])
     def test_trigger_or_cap_past_a_c_int_refused(self, entry):
         with pytest.raises(ValueError, match="triggers and caps"):
