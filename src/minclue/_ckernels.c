@@ -812,7 +812,6 @@ typedef struct {
                           (its checks read that row ORed with a cell's) */
     u64 *statevec;     /* [k+1][words_orig] */
     long long cuts;
-    u8 *cut_levels;    /* [k+1] flags: a cut happened at that level */
 } DegState;
 
 typedef struct {
@@ -1048,7 +1047,6 @@ static int degree_cut(Engine *eng, int level, int c)
             continue;
         if (c >= 0 ? !child_all_hit(st, level - 1, c) : !all_hit(st, level)) {
             st->cuts += 1;
-            st->cut_levels[level] = 1;
             return 1;
         }
     }
@@ -1180,21 +1178,21 @@ static int init_degree(Engine *eng, DegState *st, int degree, int m,
  * dead-cell rule.  Per degree di (ascending, degree 1 first when present):
  * sizes[di] masks of 16 little-endian bytes each (cells 0..63, then
  * 64..127), concatenated over all degrees in `masks`; check_levels[di] or
- * -1; triggers[di] or -1 with caps[di].  Levels below full_through select
- * by effective size (see select_slot).  Candidates go to emit in batches, k
- * ascending cell bytes each: `batch` candidates per call, the rest in one
- * last call (none when nothing is left).  On return stats
- * holds nodes, emitted, selection_cuts, consolidations and then the cut
- * count per degree; cut_levels holds k+1 flags per degree.  Returns MC_OK,
- * MC_ABORTED when emit asked to stop, MC_NO_MEMORY, or MC_BAD_ARGUMENT for
- * sizes out of range (batch < 1 included) or a mask with cells outside the
- * universe. */
+ * -1 (hitting.check_level gives the level); triggers[di] or -1 with
+ * caps[di].  Levels below full_through select by effective size (see
+ * select_slot).  Candidates go to emit in batches, k ascending cell bytes
+ * each: `batch` candidates per call, the rest in one last call (none when
+ * nothing is left).  On return stats[0..3] hold nodes, emitted,
+ * selection_cuts and consolidations, and stats[4 + di] the cut count of
+ * degree di (0 for degree 1): 4 + ndeg counters.  Returns MC_OK, MC_ABORTED
+ * when emit asked to stop, MC_NO_MEMORY, or MC_BAD_ARGUMENT for sizes out of
+ * range (batch < 1 included) or a mask with cells outside the universe. */
 int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
                    const int *sizes, const u8 *masks,
                    const int *check_levels, const int *triggers,
                    const int *caps, int full_through,
                    mc_emit_fn emit, int batch,
-                   long long *stats, u8 *cut_levels)
+                   long long *stats)
 {
     Engine *eng;
     int status = MC_OK;
@@ -1218,10 +1216,8 @@ int mc_run_hitting(int universe, int k, int ndeg, const int *degrees,
     eng->ndeg = ndeg;
     eng->full_through = full_through;
     eng->emit = emit;
-    memset(cut_levels, 0, (size_t)ndeg * (k + 1));
     for (int di = 0; di < ndeg && status == MC_OK; ++di) {
         DegState *st = &eng->deg[di];
-        st->cut_levels = cut_levels + (size_t)di * (k + 1);
         status = init_degree(eng, st, degrees[di], sizes[di], masks,
                              check_levels[di], triggers[di], caps[di]);
         masks += (size_t)16 * sizes[di];

@@ -67,7 +67,7 @@ def _open_library() -> ctypes.CDLL:
     lib.mc_run_hitting.argtypes = (
         c_int, c_int, c_int, int_array, int_array, c_char_p,
         int_array, int_array, int_array, c_int, _EMIT, c_int,
-        POINTER(c_longlong), c_char_p,
+        POINTER(c_longlong),
     )
     lib.mc_run_hitting.restype = c_int
     return lib
@@ -228,7 +228,6 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
     entries = [consolidations.get(d) or (-1, 0) for d in degrees]
     packed = _pack(mask for masks in masks_by_degree for mask in masks)
     counters = (c_longlong * (4 + ndeg))()
-    cut_levels = ctypes.create_string_buffer(ndeg * (k + 1))
     callback, errors = _emitter(emit)
     status = _lib.mc_run_hitting(
         _c_int(universe),
@@ -244,7 +243,6 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         callback,
         _c_int(batch),
         counters,
-        cut_levels,
     )
     _check(status, errors)
     stats = {
@@ -252,15 +250,10 @@ def run_hitting(universe: int, k: int, degrees, masks_by_degree, check_levels,
         "emitted": counters[1],
         "selection_cuts": counters[2],
         "consolidations": counters[3],
-        "degree_cuts": {},
-        "degree_cut_levels": {},
+        "degree_cuts": {
+            degree: counters[4 + di]
+            for di, degree in enumerate(degrees)
+            if degree > 1
+        },
     }
-    flags = cut_levels.raw
-    for di, degree in enumerate(degrees):
-        if degree > 1:
-            row = flags[di * (k + 1) : (di + 1) * (k + 1)]
-            stats["degree_cuts"][degree] = counters[4 + di]
-            stats["degree_cut_levels"][degree] = {
-                level for level, hit in enumerate(row) if hit
-            }
     return stats

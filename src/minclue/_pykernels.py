@@ -657,7 +657,8 @@ def run_hitting(
                       end go in one last, shorter call, none when no set
                       is left
 
-    Returns a stats dict (nodes, emitted, per-degree cut counts/levels).
+    Returns a stats dict (nodes, emitted, selection_cuts, consolidations,
+    and degree_cuts, the cut count per degree above 1).
     """
     if batch < 1:
         raise ValueError("batch must be at least 1")
@@ -677,7 +678,6 @@ def run_hitting(
         "nodes": 0,
         "emitted": 0,
         "degree_cuts": {d: 0 for d in states if d > 1},
-        "degree_cut_levels": {d: set() for d in states if d > 1},
         "selection_cuts": 0,
         "consolidations": 0,
     }
@@ -769,7 +769,6 @@ def run_hitting(
             st = states[d]
             if st.m and statevec[d][level] != st.full_row():
                 stats["degree_cuts"][d] += 1
-                stats["degree_cut_levels"][d].add(level)
                 return
         pushed = []
         for d, cap in consolidate_at.get(level, ()):

@@ -70,6 +70,12 @@ class SearchConfig:
     engine: EngineConfig = EngineConfig()
 
     def __post_init__(self) -> None:
+        # degree-1 sets are the family itself, so a clique degree below 2
+        # (or its cap) would be echoed and digested but never searched
+        if any(degree < 2 for degree in (*self.clique_degrees, *self.clique_caps)):
+            raise ValueError("clique degrees and clique_cap.D need D >= 2")
+        if len(set(self.clique_degrees)) != len(self.clique_degrees):
+            raise ValueError("clique_degrees repeats a degree")
         # a degree without a cap of its own keeps the default cap
         object.__setattr__(
             self, "clique_caps", {**DEFAULT_CLIQUE_CAPS, **self.clique_caps}
@@ -161,7 +167,7 @@ def search_grid(
 
     families = {1: working.masks}
     for degree in config.clique_degrees:
-        if degree >= 2 and degree <= k:
+        if degree <= k:
             cliques = build_cliques(
                 working,
                 degree,

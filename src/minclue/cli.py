@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
 def cmd_canon(args) -> int:
     shape = _shape_arg(args.shape)
     for line in _input_lines(args.file):
-        print(format_grid(minlex(parse_grid(line, shape)).grid))
+        print(format_grid(minlex(parse_grid(line, shape))))
     return 0
 
 

@@ -170,14 +170,6 @@ class CellSet:
             mask |= 1 << c
         return cls(shape, mask)
 
-    @classmethod
-    def empty(cls, shape: GridShape) -> "CellSet":
-        return cls(shape, 0)
-
-    @classmethod
-    def full(cls, shape: GridShape) -> "CellSet":
-        return cls(shape, shape.universe_mask)
-
     def cells(self) -> Iterator[int]:
         mask = self.mask
         while mask:
@@ -193,25 +185,6 @@ class CellSet:
 
     def __contains__(self, c: int) -> bool:
         return 0 <= c < self.shape.cell_count and (self.mask >> c) & 1 == 1
-
-    def __or__(self, other: "CellSet") -> "CellSet":
-        self._check_same_shape(other)
-        return CellSet(self.shape, self.mask | other.mask)
-
-    def __and__(self, other: "CellSet") -> "CellSet":
-        self._check_same_shape(other)
-        return CellSet(self.shape, self.mask & other.mask)
-
-    def __sub__(self, other: "CellSet") -> "CellSet":
-        self._check_same_shape(other)
-        return CellSet(self.shape, self.mask & ~other.mask)
-
-    def complement(self) -> "CellSet":
-        return CellSet(self.shape, self.shape.universe_mask & ~self.mask)
-
-    def _check_same_shape(self, other: "CellSet") -> None:
-        if self.shape != other.shape:
-            raise ValueError("cell sets have different shapes")
 
 
 def _resolve_shape(line: str, shape: Optional[GridShape]) -> GridShape:

@@ -23,12 +23,9 @@ from the first unhit set.  `checker.baseline_config` sets all three.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .backend import kernels
-from .errors import BudgetExceededError
 from ._pykernels import INT_MAX
 
 MAX_UNIVERSE = 128
@@ -94,6 +91,8 @@ class EngineConfig:
     full_through: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if any(degree < 1 for degree in self.consolidation):
+            raise ValueError("consolidate.D needs D >= 1")
         for trigger, cap in self.consolidation.values():
             if not (1 <= trigger <= INT_MAX and 1 <= cap <= INT_MAX):
                 raise ValueError(
@@ -175,27 +174,6 @@ def per_candidate(
             take(tuple(batch[start : start + k]))
 
     return sink
-
-
-def brute_force_hitting_sets(instance: HittingInstance) -> List[Tuple[int, ...]]:
-    """Oracle: all k-subsets intersecting every degree-1 member, sorted.
-
-    Refuses instances with more than 10**7 candidate subsets.
-    """
-    n, k = instance.universe_size, instance.k
-    if comb(n, k) > 10**7:
-        raise BudgetExceededError(
-            f"C({n},{k}) exceeds the 10^7 subset budget"
-        )
-    needed = instance.degree_one()
-    out = []
-    for combo in combinations(range(n), k):
-        mask = 0
-        for c in combo:
-            mask |= 1 << c
-        if all(mask & s for s in needed):
-            out.append(combo)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import random
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -8,9 +10,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from minclue import _pykernels  # noqa: E402
 from minclue.backend import _import_native  # noqa: E402
+from minclue.errors import BudgetExceededError  # noqa: E402
 from minclue.grid import SHAPE_4X4, SHAPE_9X9, Grid, GridShape, _check_cell  # noqa: E402
 from minclue.hitting import HittingInstance  # noqa: E402
-from minclue.symmetry import representatives  # noqa: E402
+from minclue.symmetry import catalog  # noqa: E402
 
 
 def available_backends() -> dict:
@@ -34,6 +37,33 @@ def instance_from_sets(universe_size: int, k: int, families) -> HittingInstance:
             masks.append(mask)
         as_masks[degree] = tuple(masks)
     return HittingInstance(universe_size, k, as_masks)
+
+
+def brute_force_hitting_sets(instance: HittingInstance):
+    """Oracle: all k-subsets intersecting every degree-1 member, sorted.
+
+    Refuses instances with more than 10**7 candidate subsets.
+    """
+    n, k = instance.universe_size, instance.k
+    if comb(n, k) > 10**7:
+        raise BudgetExceededError(
+            f"C({n},{k}) exceeds the 10^7 subset budget"
+        )
+    needed = instance.degree_one()
+    out = []
+    for combo in combinations(range(n), k):
+        mask = 0
+        for c in combo:
+            mask |= 1 << c
+        if all(mask & s for s in needed):
+            out.append(combo)
+    return out
+
+
+def representatives(shape: GridShape) -> list:
+    out = []
+    catalog(shape, out.append)
+    return out
 
 
 def cell_row(shape: GridShape, c: int) -> int:

@@ -18,12 +18,12 @@ from minclue.checker import (
 )
 from minclue.grid import SHAPE_4X4, SHAPE_9X9
 from minclue.solver import count_completions
-from minclue.symmetry import apply, apply_cells, random_transformation
 from minclue.unavoidable import (
     UnavoidableFamily,
     find_minimal_unavoidable,
     recheck_family,
 )
+from transforms import apply, apply_cells, random_transformation
 
 
 def oracle_proper_masks(grid, k):

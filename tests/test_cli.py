@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import representatives
 from test_acceptance import PINNED_9X9
 from minclue.cli import build_parser, main
 from minclue.grid import SHAPE_4X4, format_grid
-from minclue.symmetry import representatives
 from minclue.taskfarm import run_farm
 
 
@@ -351,6 +351,26 @@ class TestSearchCli:
         config.write_text("clique_degrees=2,7\nclique_cap.7=4\n")
         code, _, _ = run_cli(["search", str(grids), "--k", "8", "--config", str(config)])
         assert code == 0
+
+    def test_degree_the_search_ignores_is_a_data_error(self, tmp_path):
+        """A clique degree below 2 or given twice, a clique cap of such a
+        degree and a consolidation degree below 1 change no search, so
+        they are refused rather than echoed into the header and digest."""
+        config = tmp_path / "run.cfg"
+        grids = tmp_path / "grids.txt"
+        grids.write_text("1234341221434321\n")
+        for text, message in (
+            ("clique_degrees=1\nclique_cap.1=5\n", "D >= 2"),
+            ("clique_cap.1=5\n", "D >= 2"),
+            ("clique_degrees=3,2,2\n", "repeats a degree"),
+            ("consolidate.0=1:5\n", "D >= 1"),
+        ):
+            config.write_text(text)
+            code, out, err = run_cli(
+                ["search", str(grids), "--k", "4", "--config", str(config)]
+            )
+            assert code == 2, text
+            assert message in err and out == "", text
 
 
 class TestFarmCli:

@@ -37,7 +37,9 @@ def search_configs(draw):
         full_through=draw(st.none() | st.integers(-5, 30)) if effective_size else 0,
     )
     clique_degrees = (
-        tuple(draw(st.lists(st.integers(2, 8), max_size=6))) if degree_checks else ()
+        tuple(draw(st.lists(st.integers(2, 8), max_size=6, unique=True)))
+        if degree_checks
+        else ()
     )
     clique_caps = draw(st.dictionaries(st.integers(2, 8), positive))
     for degree in clique_degrees:
@@ -96,6 +98,12 @@ class TestRoundTrip:
             ({"selection": "auto:-1:5"}, "counts"),
             ({"selection": "auto:3000000000:5"}, "counts"),
             ({"selection": "auto:64:5"}, "one value, auto or the number of levels"),
+            # degrees the search would echo and digest but never use
+            ({"clique_degrees": "1", "clique_cap.1": "5"}, "D >= 2"),
+            ({"clique_cap.1": "5"}, "D >= 2"),
+            ({"clique_degrees": "3,2,2"}, "repeats a degree"),
+            ({"consolidate.0": "1:5"}, "D >= 1"),
+            ({"consolidate.-1": "1:5"}, "D >= 1"),
         ],
     )
     def test_values_no_grid_can_use_refused(self, pairs, message):

@@ -157,18 +157,6 @@ class TestCellSet:
         assert len(cs) == 3
         assert 3 in cs and 4 not in cs
 
-    def test_set_algebra(self):
-        a = CellSet.from_cells(SHAPE_4X4, [0, 1])
-        b = CellSet.from_cells(SHAPE_4X4, [1, 2])
-        assert list(a | b) == [0, 1, 2]
-        assert list(a & b) == [1]
-        assert list(a - b) == [0]
-        assert len(a.complement()) == 14
-
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
             CellSet(SHAPE_4X4, 1 << 16)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            CellSet.empty(SHAPE_4X4) | CellSet.empty(SHAPE_6X6)

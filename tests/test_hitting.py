@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import instance_from_sets, int_to_row_tuple, row_tuple_to_int, without_speed_ups
+from conftest import (
+    brute_force_hitting_sets,
+    instance_from_sets,
+    int_to_row_tuple,
+    row_tuple_to_int,
+    without_speed_ups,
+)
 from minclue.bitrows import con8, con8_table
 from minclue import hitting
 from minclue._pykernels import INT_MAX
@@ -16,7 +22,6 @@ from minclue.errors import BudgetExceededError
 from minclue.hitting import (
     EngineConfig,
     HittingInstance,
-    brute_force_hitting_sets,
     check_level,
     enumerate_hitting_sets,
     format_hitting_set,
@@ -316,19 +321,6 @@ class TestOracleEquivalence:
                 got = run(instance, switched)
                 assert sorted(got) == oracle, (trial, flags)
                 assert len(got) == len(set(got)), (trial, flags)
-
-    def test_degree_checks_fire_only_at_their_level(self):
-        rng = random.Random(5150)
-        seen_cut = False
-        for _ in range(60):
-            instance = random_instance(rng, max_universe=20, max_k=5, max_sets=12)
-            stats = {}
-            run(instance, EngineConfig(), stats)
-            for degree, levels in stats.get("degree_cut_levels", {}).items():
-                if levels:
-                    seen_cut = True
-                assert levels <= {check_level(instance.k, degree)}
-        assert seen_cut
 
     def test_degree_pruning_never_changes_emission(self):
         rng = random.Random(31337)
@@ -707,7 +699,6 @@ class TestEarlyChildCut:
         )
         got, stats = run_each_backend(backends, instance)
         assert stats["degree_cuts"] == {2: 1}
-        assert stats["degree_cut_levels"] == {2: {3}}
         oracle = brute_force_hitting_sets(instance)
         assert sorted(got) == [s for s in oracle if not {0, 2, 4} <= set(s)]
         unpruned, base = run_each_backend(
@@ -724,7 +715,6 @@ class TestEarlyChildCut:
         plan[4] = {2: 2}  # check_levels
         got, stats = run_plan_each_backend(backends, plan)
         assert stats["degree_cuts"] == {2: 0}
-        assert stats["degree_cut_levels"] == {2: set()}
         assert sorted(got) == brute_force_hitting_sets(instance)
         assert stats["nodes"] == 7
 
@@ -734,7 +724,7 @@ class TestEarlyChildCut:
         got, stats = run_each_backend(backends, instance)
         assert got == []
         assert stats["nodes"] == 1
-        assert stats["degree_cut_levels"] == {3: {0}}
+        assert stats["degree_cuts"] == {3: 1}
 
     def test_checks_around_the_consolidation_level(self, backends):
         """Hand-made plans that consolidate degree 2 before its check level
@@ -744,8 +734,8 @@ class TestEarlyChildCut:
             plan = list(hitting.resolve_plan(instance, EngineConfig()))
             plan[5] = {1: (1, 90), 2: (trigger, 80)}  # consolidations
             got, stats = run_plan_each_backend(backends, plan)
-            assert stats["degree_cuts"][2] > 0
-            assert stats["degree_cut_levels"] == {2: {3}}
+            assert stats["degree_cuts"] == {2: 1}
+            assert stats["nodes"] == 9 and stats["emitted"] == 97
 
 
 class TestBackendParityOnEngine:
@@ -782,8 +772,18 @@ class TestBackendParityOnEngine:
             stats = assert_engine_parity(
                 backends["python"], backends["native"], resolve_plan(instance, config)
             )
-            assert stats["degree_cut_levels"] == {2: {65}, 3: set()}
-            assert stats["emitted"] == 2
+            assert stats["degree_cuts"] == {2: 1, 3: 0}
+            assert stats["nodes"] == 69 and stats["emitted"] == 2
+
+    def test_sixty_fifth_set_decides_the_entry_check(self, backends):
+        """Drawing cell 0 hits the 64 sets of the first row word and leaves
+        only the 65th set, alone in the partial last word, unhit: the node
+        must draw from it rather than free-fill."""
+        instance = make_instance(
+            128, 2, {1: [{0, c} for c in range(1, 65)] + [{100, 101}]}
+        )
+        got, _ = run_each_backend(backends, instance)
+        assert sorted(got) == brute_force_hitting_sets(instance) == [(0, 100), (0, 101)]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

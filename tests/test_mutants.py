@@ -61,6 +61,19 @@ MUTANTS = {
          HIT + "TestSmallCases::test_single_set_k1",
          HIT + "TestEarlyChildCut::test_check_at_the_root"],
     ),
+    "row_all_ones skips the partial last word of a row over 64 sets": (
+        "return !rem || row[words] == (((u64)1 << rem) - 1);",
+        "return !rem || m > 64 || row[words] == (((u64)1 << rem) - 1);",
+        [HIT + "TestBackendParityOnEngine::test_degree_cut_above_level_63",
+         HIT + "TestBackendParityOnEngine::test_sixty_fifth_set_decides_the_entry_check"],
+    ),
+    "degree checks fire one level early": (
+        "if (st->check_level != level)",
+        "if (st->check_level != level + 1)",
+        [HIT + "TestOracleEquivalence::test_flag_combinations_on_random_instances",
+         HIT + "TestSkippedRebuilds::test_pinned_nine_by_nine_counters",
+         HIT + "TestBackendParityOnEngine::test_identical_emission_and_order"],
+    ),
     "mc_cliques drops the high word from the disjointness test": (
         "if ((lo & acc[2 * level]) | (hi & acc[2 * level + 1])) {",
         "if (lo & acc[2 * level]) {",

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
+from conftest import representatives
 from minclue.checker import GridSearchReport, SearchConfig
 from minclue.config import config_digest, config_header_lines
 from minclue.errors import CheckpointMismatchError, ConflictingRecordsError
 from minclue.grid import SHAPE_4X4, format_grid
-from minclue.symmetry import apply, random_transformation, representatives
 from minclue.taskfarm import (
     Checkpoint,
     FarmSummary,
@@ -16,6 +16,7 @@ from minclue.taskfarm import (
     plan_batches,
     run_farm,
 )
+from transforms import apply, random_transformation
 
 
 @pytest.fixture(scope="module")

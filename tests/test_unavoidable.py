@@ -111,10 +111,10 @@ def oracle_cliques(masks, degree, start, cap):
 
 class TestIsUnavoidable:
     def test_all_cells(self):
-        assert is_unavoidable(GRID_4X4, CellSet.full(SHAPE_4X4))
+        assert is_unavoidable(GRID_4X4, CellSet(SHAPE_4X4, SHAPE_4X4.universe_mask))
 
     def test_empty_set(self):
-        assert not is_unavoidable(GRID_4X4, CellSet.empty(SHAPE_4X4))
+        assert not is_unavoidable(GRID_4X4, CellSet(SHAPE_4X4, 0))
 
     def test_constructed_rectangle(self):
         # cells 0,4 (row 0) and 9,13... build a grid with a crosswise pair
@@ -153,7 +153,7 @@ class TestIsMinimal:
         assert not is_minimal(GRID_4X4, union)
 
     def test_full_grid_not_minimal(self):
-        assert not is_minimal(GRID_4X4, CellSet.full(SHAPE_4X4))
+        assert not is_minimal(GRID_4X4, CellSet(SHAPE_4X4, SHAPE_4X4.universe_mask))
 
 
 class TestFinderCompleteness4x4:
@@ -328,7 +328,7 @@ class TestVerifyDegree:
 
     def test_budget_refusal_is_not_a_verdict(self):
         with pytest.raises(BudgetExceededError):
-            verify_degree(GRID_4X4, CellSet.full(SHAPE_4X4), 9, budget=10)
+            verify_degree(GRID_4X4, CellSet(SHAPE_4X4, SHAPE_4X4.universe_mask), 9, budget=10)
 
 
 class TestBuildCliques:
